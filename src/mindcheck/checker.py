@@ -80,15 +80,13 @@ class _Evaluator:
         if isinstance(f, fm.E):
             return m.worlds if self.ext(f.child) else frozenset()
         if isinstance(f, fm.Box):
-            sat = self.ext(f.child)
-            order = m.order(f.order)
-            reach = order.strictly_below if f.strict else order.below
-            return frozenset(w for w in m.worlds if reach(w) <= sat)
+            outside = ~md.mask(self.ext(f.child))
+            rows = m.order(f.order).down_rows(f.strict)
+            return frozenset(w for w in m.worlds if not rows[w] & outside)
         if isinstance(f, fm.Diamond):
-            sat = self.ext(f.child)
-            order = m.order(f.order)
-            reach = order.strictly_below if f.strict else order.below
-            return frozenset(w for w in m.worlds if reach(w) & sat)
+            inside = md.mask(self.ext(f.child))
+            rows = m.order(f.order).down_rows(f.strict)
+            return frozenset(w for w in m.worlds if rows[w] & inside)
         if isinstance(f, fm.DynMod):
             return self._dynamic(f)
         if isinstance(f, fm.PlanMod):

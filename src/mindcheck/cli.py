@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import checker, dynamics, formulas as fm, models as md
@@ -44,19 +44,6 @@ class FilterStep:
 
 
 ScriptStep = Union[dynamics.MentalOp, AssertStep, FilterStep]
-
-
-@dataclass
-class Session:
-    """Model under transformation plus the history of applied operations."""
-
-    current: md.PracticalAgentModel
-    lib: pl.PlanLibrary
-    history: list[dynamics.MentalOp] = field(default_factory=list)
-
-    def apply(self, op: dynamics.MentalOp) -> None:
-        self.current = op.apply(self.current, self.lib)
-        self.history.append(op)
 
 
 def main(argv=None) -> int:
@@ -174,10 +161,10 @@ def _dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _write_out(args, doc: dict) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_dump_json(doc) + "\n")
+def _write_out(args, text: str) -> None:
+    """Write an already rendered document to --out."""
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def _sorted_worlds(m: md.AgentModel) -> list[int]:
@@ -204,8 +191,9 @@ def cmd_eval(args) -> int:
         "schema": SCHEMA, "command": "eval", "formula": args.formula,
         "atoms": list(m.atoms), "worlds": worlds, "global": verdict,
     }
+    text = _dump_json(doc) if args.json or args.out else None
     if args.json:
-        print(_dump_json(doc))
+        print(text)
     else:
         print(f"formula: {args.formula}")
         header = "".join(m.atoms)
@@ -214,7 +202,8 @@ def cmd_eval(args) -> int:
             mark = "yes" if row["holds"] else "no"
             print(f" {row['id']:>5}  {row['bits']}  {mark}")
         print(f"global: {'true' if verdict else 'false'}")
-    _write_out(args, doc)
+    if args.out:
+        _write_out(args, text)
     return 0 if verdict else 1
 
 
@@ -310,13 +299,12 @@ def cmd_trace(args) -> int:
             steps = parse_script(fh.read())
     except OSError as exc:
         raise CliError("file-error", f"{args.script}: {exc.strerror}") from exc
-    session = Session(m, lib)
     reports = []
     failed_assert: Optional[dict] = None
     for index, (lineno, line, step) in enumerate(steps, start=1):
         try:
             if isinstance(step, AssertStep):
-                ok = checker.holds(session.current, lib, step.formula)
+                ok = checker.holds(m, lib, step.formula)
                 report = {"index": index, "op": line, "holds": ok}
                 reports.append(report)
                 if not args.json:
@@ -327,18 +315,18 @@ def cmd_trace(args) -> int:
                     break
                 continue
             if isinstance(step, FilterStep):
-                session.current = dynamics.filter_intentions(session.current, lib)
+                m = dynamics.filter_intentions(m, lib)
             else:
-                session.apply(step)
-            report = _step_report(index, line, session.current, lib)
+                m = step.apply(m, lib)
+            report = _step_report(index, line, m, lib)
         except _ENGINE_ERRORS as exc:
             raise CliError(
                 _reason_of(exc), f"step {index} (line {lineno}): {exc}"
             ) from exc
         reports.append(report)
         if not args.json:
-            _print_step(report, session.current)
-    final_doc = md.dump_model(session.current)
+            _print_step(report, m)
+    final_doc = md.dump_model(m) if args.json or args.out else None
     if args.json:
         doc = {
             "schema": SCHEMA, "command": "trace", "steps": reports,
@@ -348,7 +336,8 @@ def cmd_trace(args) -> int:
     if failed_assert is not None:
         print(f"assertion failed at step {failed_assert['index']}: "
               f"{failed_assert['op']}", file=sys.stderr)
-    _write_out(args, final_doc)
+    if args.out:
+        _write_out(args, _dump_json(final_doc))
     return 0 if failed_assert is None else 1
 
 
@@ -362,9 +351,12 @@ def cmd_induce(args) -> int:
     doc = md.dump_model(m)
     if args.json:
         print(_dump_json({"schema": SCHEMA, "command": "induce", "model": doc}))
+        text = _dump_json(doc) if args.out else None
     else:
-        print(_dump_json(doc))
-    _write_out(args, doc)
+        text = _dump_json(doc)
+        print(text)
+    if args.out:
+        _write_out(args, text)
     return 0
 
 
@@ -377,8 +369,10 @@ def cmd_extract(args) -> int:
     }
     if args.json:
         doc = {"schema": SCHEMA, "command": "extract", **doc}
-    print(_dump_json(doc))
-    _write_out(args, doc)
+    text = _dump_json(doc)
+    print(text)
+    if args.out:
+        _write_out(args, text)
     return 0
 
 

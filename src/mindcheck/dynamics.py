@@ -37,14 +37,10 @@ def upgrade(m: md.AgentModel, target: str, phi: fm.Formula) -> md.AgentModel:
     removed.
     """
     sat = md.satisfying_worlds(phi, m.worlds, m.valuation)
-    old = m.order(target)
-    pairs = [
-        (w, u)
-        for w in m.worlds for u in m.worlds
-        if (w in sat and u not in sat)
-        or (old.le(w, u) and not (w not in sat and u in sat))
-    ]
-    return m.with_order(target, md.Preorder.from_pairs(m.worlds, pairs, close=False))
+    rows = m.order(target).up_rows()
+    rest = md.mask(m.worlds - sat)
+    up = {w: rows[w] | rest if w in sat else rows[w] & rest for w in m.worlds}
+    return m.with_order(target, md.Preorder(m.worlds, up))
 
 
 def contract(m: md.AgentModel, target: str, phi: fm.Formula) -> md.AgentModel:
@@ -58,12 +54,10 @@ def contract(m: md.AgentModel, target: str, phi: fm.Formula) -> md.AgentModel:
     min_all = old.min_set(m.worlds)
     min_counter = old.min_set(counter)
     bottom = min_all | min_counter
-    pairs = [
-        (w, u)
-        for w in m.worlds for u in m.worlds
-        if w in bottom or (old.le(w, u) and u not in min_counter)
-    ]
-    return m.with_order(target, md.Preorder.from_pairs(m.worlds, pairs, close=False))
+    rows = old.up_rows()
+    full, keep = md.mask(m.worlds), ~md.mask(min_counter)
+    up = {w: full if w in bottom else rows[w] & keep for w in m.worlds}
+    return m.with_order(target, md.Preorder(m.worlds, up))
 
 
 def product_update(m: md.AgentModel, lib: pl.PlanLibrary,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 from . import formulas as fm
@@ -38,18 +39,104 @@ class Violation:
         return f"missing transitive pair ({w},{x}) implied by ({w},{u}),({u},{x})"
 
 
-def _mask(worlds: Iterable[WorldId]) -> int:
+def mask(worlds: Iterable[WorldId]) -> int:
+    """A world set as a bit mask: bit w set for each world w."""
     m = 0
     for w in worlds:
         m |= 1 << w
     return m
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
+def _bits(row: int):
+    while row:
+        low = row & -row
         yield low.bit_length() - 1
-        mask ^= low
+        row ^= low
+
+
+def _transpose(carrier: frozenset[WorldId],
+               up: Mapping[WorldId, int]) -> dict[WorldId, int]:
+    """The down rows of the up rows: bit w of down[u] iff bit u of up[w].
+
+    Each row is rendered as a binary string and the carrier's columns are cut
+    out of it run by run (a run is a stretch of consecutive ids), so
+    zip(*rows) transposes in C. Below each run sits one filler row of zeros
+    as wide as the id gap beneath it, so a joined column reads as a binary
+    number indexed by world id. The work grows with the carrier size times
+    the row width, never with a square of the largest id.
+    """
+    ids = sorted(carrier, reverse=True)
+    if not ids:
+        return {}
+    width = ids[0] + 1
+    fmt = f"0{width}b"
+    cuts = [slice(0, 0)]  # keeps pick's result a tuple when there is one run
+    gaps = {}  # lowest id of a run -> count of absent ids just below it
+    top = ids[0]
+    for w, below in zip(ids, ids[1:] + [-1]):
+        if below != w - 1 or below < 0:
+            cuts.append(slice(width - 1 - top, width - w))
+            gaps[w] = w - below - 1
+            top = below
+    pick = itemgetter(*cuts)
+    rows: list = []
+    for w in ids:
+        rows.append("".join(pick(format(up[w], fmt))))
+        if gaps.get(w):
+            rows.append(("0" * gaps[w],) * len(ids))
+    return {u: int("".join(col), 2) for u, col in zip(ids, zip(*rows))}
+
+
+def _closure(up: dict[WorldId, int]) -> dict[WorldId, int]:
+    """Reflexive-transitive closure of bit rows in one Tarjan SCC pass.
+
+    Tarjan finishes a component only after every component it reaches, so
+    its closed row is its members' bits ORed with the closed rows of the
+    components its members point into. The depth-first search keeps its own
+    stack of (world, pending successors), so deep chains do not recurse.
+    """
+    index: dict[WorldId, int] = {}
+    low: dict[WorldId, int] = {}
+    closed: dict[WorldId, int] = {}
+    stack: list[WorldId] = []
+    for root in up:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, _bits(up[root]))]
+        while work:
+            v, successors = work[-1]
+            for u in successors:
+                if u not in index:
+                    index[u] = low[u] = len(index)
+                    stack.append(u)
+                    work.append((u, _bits(up[u])))
+                    break
+                if u not in closed:  # on the stack: same component as v
+                    low[v] = min(low[v], index[u])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    members, reach = [], 0
+                    while True:
+                        u = stack.pop()
+                        members.append(u)
+                        reach |= up[u]
+                        if u == v:
+                            break
+                    row = mask(members)
+                    outside = reach & ~row
+                    while outside:
+                        low_bit = outside & -outside
+                        row |= closed[low_bit.bit_length() - 1]
+                        outside &= ~row
+                    for u in members:
+                        closed[u] = row
+    return closed
 
 
 class Preorder:
@@ -63,18 +150,14 @@ class Preorder:
     __slots__ = ("carrier", "_up", "_down", "_sdown")
 
     def __init__(self, carrier: frozenset[WorldId], up: dict[WorldId, int]):
-        object.__setattr__(self, "carrier", frozenset(carrier))
-        object.__setattr__(self, "_up", dict(up))
-        down = {w: 0 for w in carrier}
-        for w in carrier:
-            for u in _bits(up[w]):
-                down[u] |= 1 << w
-        sdown = {
-            w: down[w] & ~_mask(u for u in _bits(down[w]) if self.le(w, u))
-            for w in carrier
-        }
+        carrier = frozenset(carrier)
+        self._set_rows(carrier, dict(up), _transpose(carrier, up))
+
+    def _set_rows(self, carrier, up, down):
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "_up", up)
         object.__setattr__(self, "_down", down)
-        object.__setattr__(self, "_sdown", sdown)
+        object.__setattr__(self, "_sdown", {w: down[w] & ~up[w] for w in carrier})
 
     def __setattr__(self, name, value):
         raise AttributeError("Preorder is immutable")
@@ -89,21 +172,7 @@ class Preorder:
             if w not in carrier or u not in carrier:
                 raise ModelError(f"relation pair ({w},{u}) leaves the carrier")
             up[w] |= 1 << u
-        if close:
-            for w in carrier:
-                up[w] |= 1 << w
-            changed = True
-            while changed:
-                changed = False
-                for w in carrier:
-                    row = up[w]
-                    acc = row
-                    for u in _bits(row):
-                        acc |= up[u]
-                    if acc != row:
-                        up[w] = acc
-                        changed = True
-        return cls(carrier, up)
+        return cls(carrier, _closure(up) if close else up)
 
     @classmethod
     def identity(cls, carrier: Iterable[WorldId]) -> "Preorder":
@@ -113,8 +182,19 @@ class Preorder:
     @classmethod
     def total(cls, carrier: Iterable[WorldId]) -> "Preorder":
         carrier = frozenset(carrier)
-        full = _mask(carrier)
+        full = mask(carrier)
         return cls(carrier, {w: full for w in carrier})
+
+    def up_rows(self) -> Mapping[WorldId, int]:
+        """Per world w, the mask of all u with w <= u. Read only."""
+        return self._up
+
+    def down_rows(self, strict: bool = False) -> Mapping[WorldId, int]:
+        """Per world w, the mask of all u with u <= w (u < w if strict).
+
+        Read only.
+        """
+        return self._sdown if strict else self._down
 
     def le(self, w: WorldId, u: WorldId) -> bool:
         return bool(self._up[w] >> u & 1)
@@ -147,15 +227,18 @@ class Preorder:
         s = frozenset(s)
         if not s <= self.carrier:
             raise ModelError(f"worlds {sorted(s - self.carrier)} outside carrier")
-        smask = _mask(s)
+        smask = mask(s)
         return frozenset(w for w in s if self._sdown[w] & smask == 0)
 
     def restrict(self, keep: Iterable[WorldId]) -> "Preorder":
         keep = frozenset(keep)
         if not keep <= self.carrier:
             raise ModelError(f"worlds {sorted(keep - self.carrier)} outside carrier")
-        kmask = _mask(keep)
-        return Preorder(keep, {w: self._up[w] & kmask for w in keep})
+        kmask = mask(keep)
+        restricted = object.__new__(Preorder)
+        restricted._set_rows(keep, {w: self._up[w] & kmask for w in keep},
+                             {w: self._down[w] & kmask for w in keep})
+        return restricted
 
     def validate(self) -> Optional[Violation]:
         for w in sorted(self.carrier):

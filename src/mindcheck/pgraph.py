@@ -46,9 +46,6 @@ class PriorityGraph:
     def outranks(self, phi: fm.Formula, psi: fm.Formula) -> bool:
         return (phi, psi) in self.prec
 
-    def higher_than(self, phi: fm.Formula) -> tuple[fm.Formula, ...]:
-        return tuple(n for n in self.nodes if self.outranks(n, phi))
-
 
 def make_graph(nodes: Iterable[fm.Formula],
                prec: Iterable[tuple[fm.Formula, fm.Formula]] = ()) -> PriorityGraph:
@@ -86,22 +83,29 @@ def induced_order(g: PriorityGraph, worlds: Iterable[md.WorldId],
     """The lexicographic preorder the graph induces on the given worlds.
 
     w <= w' iff for every node phi: (w' sat phi implies w sat phi), or some
-    strictly higher-priority psi holds at w and fails at w'.
+    strictly higher-priority psi holds at w and fails at w'. Row by row: w'
+    leaves w's row when some phi fails at w and holds at w', and every
+    higher psi that holds at w holds at w' too.
     """
     worlds = frozenset(worlds)
-    sat = {n: md.satisfying_worlds(n, worlds, valuation) for n in g.nodes}
-    higher = {n: g.higher_than(n) for n in g.nodes}
-
-    def le(w, u):
-        for phi in g.nodes:
-            if u in sat[phi] and w not in sat[phi]:
-                if not any(w in sat[psi] and u not in sat[psi]
-                           for psi in higher[phi]):
-                    return False
-        return True
-
-    pairs = [(w, u) for w in worlds for u in worlds if le(w, u)]
-    return md.Preorder.from_pairs(worlds, pairs, close=False)
+    index = {n: i for i, n in enumerate(g.nodes)}
+    higher: list[list[int]] = [[] for _ in g.nodes]
+    for hi, lo in g.prec:
+        higher[index[lo]].append(index[hi])
+    sat = [md.mask(md.satisfying_worlds(n, worlds, valuation)) for n in g.nodes]
+    full = md.mask(worlds)
+    up = {}
+    for w in worlds:
+        bit = 1 << w
+        beaten = 0
+        for phi_sat, above in zip(sat, higher):
+            if not phi_sat & bit:
+                for psi in above:
+                    if sat[psi] & bit:
+                        phi_sat &= sat[psi]
+                beaten |= phi_sat
+        up[w] = full & ~beaten
+    return md.Preorder(worlds, up)
 
 
 def extract_graph(m: md.PreferenceModel) -> PriorityGraph:
@@ -119,12 +123,16 @@ def extract_graph(m: md.PreferenceModel) -> PriorityGraph:
                 f"valuation not injective: worlds {by_val[bits]} and {w} agree"
             )
         by_val[bits] = w
+    ordered = [by_val[bits] for bits in sorted(by_val)]
+    characteristic = {w: _characteristic(m, w) for w in ordered}
     nodes: list[fm.Formula] = []
-    for w in sorted(m.worlds, key=lambda w: _bits_of(m, w)):
-        down = sorted(m.order.below(w), key=lambda u: _bits_of(m, u))
-        node = _disjunction([_characteristic(m, u) for u in down])
-        if node not in nodes:
-            nodes.append(node)
+    seen: set[int] = set()  # a node is fixed by its down-set: dedupe by mask
+    down = m.order.down_rows()
+    for w in ordered:
+        if down[w] not in seen:
+            seen.add(down[w])
+            nodes.append(_disjunction(
+                [characteristic[u] for u in ordered if down[w] >> u & 1]))
     return PriorityGraph(tuple(nodes), frozenset())
 
 

@@ -243,3 +243,41 @@ class TestDeterminism:
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+class TestSparseWorldIds:
+    """Ids are labels: a huge id must behave like its dense relabelling."""
+
+    SCRIPT = "upgrade P p\ncontract D q\nassert B(p|T)\ncontract P p\n"
+
+    @staticmethod
+    def model_doc(hi):
+        return {
+            "atoms": ["p", "q"],
+            "worlds": [{"id": 0, "true_atoms": ["p"]},
+                       {"id": hi, "true_atoms": ["q"]}],
+            "plausibility": [[hi, 0]],
+            "desirability": [[0, hi]],
+            "intentions": [],
+        }
+
+    def outputs(self, capsys, tmp_path, hi):
+        model = tmp_path / f"model{hi}.json"
+        model.write_text(json.dumps(self.model_doc(hi)))
+        script = tmp_path / "ops.script"
+        script.write_text(self.SCRIPT)
+        final = tmp_path / f"final{hi}.json"
+        got = [
+            run(capsys, "eval", "--model", str(model), "--json",
+                "--formula", "[<=P] q & <<D>> p & [<D] F & [up_P p] B(p|T)"),
+            run(capsys, "trace", "--model", str(model), "--script", str(script),
+                "--json", "--out", str(final)),
+            (json.dumps(md.dump_model(md.load_model(self.model_doc(hi)))),),
+            (final.read_text(),),
+        ]
+        return [tuple(str(x).replace(str(hi), "1") for x in g) for g in got]
+
+    def test_million_id_matches_dense_relabelling(self, capsys, tmp_path):
+        sparse = self.outputs(capsys, tmp_path, 1000000)
+        assert sparse == self.outputs(capsys, tmp_path, 1)
+        assert sparse[1][0] == "0"  # the script's assertion held

@@ -1,8 +1,11 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from mindcheck import dynamics
 from mindcheck import formulas as fm
 from mindcheck import models as md
+from mindcheck import pgraph as pg
 
 import oracles
 import strategies as gen
@@ -201,3 +204,113 @@ class TestModelDocuments:
         doc = dict(self.DOC, plausibility=[[0, 9]])
         with pytest.raises(md.ModelError):
             md.load_model(doc)
+
+
+# ---------------------------------------------------------------------------
+# Bit-row construction against pair-level definitions. World ids are drawn
+# with gaps so the transpose meets sparse carriers; each reference is written
+# out here on plain pair sets.
+
+@st.composite
+def relations(draw, max_worlds=12):
+    """Sparse world ids with a random pair list; cycles are common."""
+    worlds = draw(st.sets(st.integers(0, 200), max_size=max_worlds))
+    ids = sorted(worlds)
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                          max_size=3 * len(ids))) if ids else []
+    return frozenset(worlds), pairs
+
+
+@st.composite
+def sparse_models(draw):
+    """Agent models over p, q, r with sparse ids and arbitrary valuations."""
+    worlds, p_pairs = draw(relations())
+    assume(worlds)
+    ids = sorted(worlds)
+    d_pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                            max_size=3 * len(ids)))
+    valuation = {a: frozenset(draw(st.sets(st.sampled_from(ids))))
+                 for a in ("p", "q", "r")}
+    return md.PracticalAgentModel(
+        ("p", "q", "r"), worlds, md.Preorder.from_pairs(worlds, p_pairs),
+        md.Preorder.from_pairs(worlds, d_pairs), valuation)
+
+
+def warshall(worlds, pairs):
+    rel = set(pairs) | {(w, w) for w in worlds}
+    for k in worlds:
+        for i in worlds:
+            if (i, k) in rel:
+                rel |= {(i, j) for j in worlds if (k, j) in rel}
+    return frozenset(rel)
+
+
+def minimal(pairs, subset):
+    return frozenset(w for w in subset if not any(
+        (u, w) in pairs and (w, u) not in pairs for u in subset))
+
+
+class TestRowConstruction:
+    @settings(max_examples=300)
+    @given(relations())
+    def test_closure_matches_warshall(self, rel):
+        worlds, pairs = rel
+        assert md.Preorder.from_pairs(worlds, pairs).pairs == warshall(worlds, pairs)
+
+    def test_long_chain_closes_without_recursion(self):
+        n = 3000
+        o = md.Preorder.from_pairs(range(n), [(i, i + 1) for i in range(n - 1)])
+        assert o.below(n - 1) == frozenset(range(n))
+        assert o.strictly_below(0) == frozenset()
+
+    @settings(max_examples=300)
+    @given(relations(), st.booleans(), st.randoms(use_true_random=False))
+    def test_down_sets_match_pairwise_definitions(self, rel, close, rng):
+        worlds, pairs = rel
+        o = md.Preorder.from_pairs(worlds, pairs, close=close)
+        keep = frozenset(rng.sample(sorted(worlds), k=rng.randint(0, len(worlds))))
+        for order, carrier in ((o, worlds), (o.restrict(keep), keep)):
+            le = order.pairs
+            for w in carrier:
+                assert order.below(w) == {u for u in carrier if (u, w) in le}
+                assert order.strictly_below(w) == {
+                    u for u in carrier if (u, w) in le and (w, u) not in le}
+
+    @settings(max_examples=200)
+    @given(sparse_models(), gen.prop_formulas(), gen.order_tags())
+    def test_upgrade_matches_pair_definition(self, m, phi, tag):
+        sat = md.satisfying_worlds(phi, m.worlds, m.valuation)
+        old = m.order(tag).pairs
+        expected = frozenset(
+            (w, u) for w in m.worlds for u in m.worlds
+            if (w in sat and u not in sat)
+            or ((w, u) in old and not (w not in sat and u in sat)))
+        assert dynamics.upgrade(m, tag, phi).order(tag).pairs == expected
+
+    @settings(max_examples=200)
+    @given(sparse_models(), gen.prop_formulas(), gen.order_tags())
+    def test_contract_matches_pair_definition(self, m, phi, tag):
+        old = m.order(tag).pairs
+        counter = m.worlds - md.satisfying_worlds(phi, m.worlds, m.valuation)
+        promoted = minimal(old, counter)
+        bottom = minimal(old, m.worlds) | promoted
+        expected = frozenset(
+            (w, u) for w in m.worlds for u in m.worlds
+            if w in bottom or ((w, u) in old and u not in promoted))
+        assert dynamics.contract(m, tag, phi).order(tag).pairs == expected
+
+    @settings(max_examples=200)
+    @given(sparse_models(), gen.priority_graphs())
+    def test_induced_order_matches_pair_definition(self, m, g):
+        sat = {n: md.satisfying_worlds(n, m.worlds, m.valuation) for n in g.nodes}
+
+        def le(w, u):
+            return all(
+                u not in sat[phi] or w in sat[phi]
+                or any((psi, phi) in g.prec and w in sat[psi] and u not in sat[psi]
+                       for psi in g.nodes)
+                for phi in g.nodes)
+
+        expected = frozenset(
+            (w, u) for w in m.worlds for u in m.worlds if le(w, u))
+        assert pg.induced_order(g, m.worlds, m.valuation).pairs == expected
