@@ -13,6 +13,8 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional, Union
 
 from . import checker, dynamics, formulas as fm, models as md
@@ -158,17 +160,74 @@ def _load_model(args, lib: pl.PlanLibrary) -> md.PracticalAgentModel:
 
 
 def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """The bytes of json.dumps(doc, indent=2, sort_keys=True), for values
+    made of dicts with string keys, lists, strings, numbers, bools and None.
+
+    json.dumps falls back to its pure-Python encoder whenever an indent is
+    given. This writer keeps that layout but renders a list of [int, int]
+    pairs, where nearly all of a model document's bytes sit, with a single
+    str.format call over one template per pair. Pieces are gathered in one
+    list and joined once, so large values are not copied at every level.
+    """
+    out: list[str] = []
+    _write(doc, "\n", out)
+    return "".join(out)
+
+
+def _write(v, nl: str, out: list[str]) -> None:
+    """Append one JSON value whose own line starts after nl (newline + indent)."""
+    if isinstance(v, str):
+        out.append(_encode_str(v))
+    elif type(v) is int:
+        out.append(str(v))
+    elif v is True:
+        out.append("true")
+    elif v is False:
+        out.append("false")
+    elif v is None:
+        out.append("null")
+    elif isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, x in sorted(v.items()):
+            out.append(f"{sep}{_encode_str(k)}: ")
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if _int_pairs(v):
+            cell = inner + "  {}"
+            pair = "[" + cell + "," + cell + inner + "]"
+            body = ("," + inner).join([pair] * len(v))
+            out += ("[" + inner, body.format(*chain.from_iterable(v)), nl + "]")
+            return
+        sep = "[" + inner
+        for x in v:
+            out.append(sep)
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        out.append(json.dumps(v))
+
+
+def _int_pairs(v) -> bool:
+    """Whether every item of v is a two-item list of ints (bools excluded)."""
+    return (set(map(type, v)) == {list} and set(map(len, v)) == {2}
+            and set(map(type, chain.from_iterable(v))) == {int})
 
 
 def _write_out(args, text: str) -> None:
     """Write an already rendered document to --out."""
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-
-
-def _sorted_worlds(m: md.AgentModel) -> list[int]:
-    return sorted(m.worlds, key=lambda w: (m.world_bits(w), w))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +244,7 @@ def cmd_eval(args) -> int:
     verdict = ext == m.worlds
     worlds = [
         {"id": w, "bits": m.world_bits(w), "holds": w in ext}
-        for w in _sorted_worlds(m)
+        for w in md.sorted_worlds(m)
     ]
     doc = {
         "schema": SCHEMA, "command": "eval", "formula": args.formula,

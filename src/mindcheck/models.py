@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import chain, compress, count, repeat
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
@@ -393,7 +394,7 @@ def load_model(doc: dict) -> PracticalAgentModel:
         raise ModelError("duplicate atom names")
     for a in atoms:
         fm.Atom(a)  # name check
-    worlds = []
+    worlds: set[WorldId] = set()
     truths: dict[str, set[WorldId]] = {a: set() for a in atoms}
     for wd in world_docs:
         w = wd["id"]
@@ -401,28 +402,72 @@ def load_model(doc: dict) -> PracticalAgentModel:
             raise ModelError(f"world id must be a non-negative int, got {w!r}")
         if w in worlds:
             raise ModelError(f"duplicate world id {w}")
-        worlds.append(w)
-        for a in wd.get("true_atoms", ()):
-            if a not in truths:
+        worlds.add(w)
+        true_atoms = wd.get("true_atoms", [])
+        if not isinstance(true_atoms, list):
+            raise ModelError(f"world {w}: true_atoms must be a list of atoms, "
+                             f"got {true_atoms!r}")
+        for a in true_atoms:
+            if not isinstance(a, str) or a not in truths:
                 raise ModelError(f"world {w} lists unknown atom {a!r}")
             truths[a].add(w)
     wset = frozenset(worlds)
     val = {a: frozenset(ws) for a, ws in truths.items()}
-    plaus = Preorder.from_pairs(wset, [tuple(p) for p in p_pairs])
-    des = Preorder.from_pairs(wset, [tuple(p) for p in d_pairs])
+    plaus = Preorder.from_pairs(wset, _checked_pairs(p_pairs, "plausibility"))
+    des = Preorder.from_pairs(wset, _checked_pairs(d_pairs, "desirability"))
     intentions = frozenset(doc.get("intentions", ()))
     return PracticalAgentModel(atoms, wset, plaus, des, val, intentions)
 
 
+def _checked_pairs(pairs, field: str) -> list:
+    """A relation field, once it is known to list pairs [w, u] of ints.
+
+    The test runs over the whole list at C speed; only a rejected list is
+    searched again for the first pair to name in the error. An int that is
+    no world id, negative ones included, is left to from_pairs, which
+    reports the pair as leaving the carrier.
+    """
+    if not isinstance(pairs, list):
+        raise ModelError(f"{field} must be a list of pairs, got {pairs!r}")
+    if (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+            and set(map(type, chain.from_iterable(pairs))) <= {int}):
+        return pairs
+    bad = next(p for p in pairs if not (
+        type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is int))
+    raise ModelError(f"{field} pair {bad!r} is not two world ids")
+
+
+def sorted_worlds(m: AgentModel) -> list[WorldId]:
+    """Worlds in document order: by valuation bit string, then by id."""
+    return sorted(m.worlds, key=lambda w: (m.world_bits(w), w))
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _sorted_pairs(order: Preorder) -> list[list[WorldId]]:
+    """All related pairs [w, u] in ascending order, read off the up rows.
+
+    Each row is written out lowest bit first as a byte per bit, so compress
+    picks the set positions in C.
+    """
+    rows = order.up_rows()
+    pairs: list[list[WorldId]] = []
+    for w in sorted(order.carrier):
+        row_bits = format(rows[w], "b")[::-1].encode().translate(_BIT_BYTES)
+        pairs += map(list, zip(repeat(w), compress(count(), row_bits)))
+    return pairs
+
+
 def dump_model(m: AgentModel) -> dict:
     """Serialize to the model document shape, deterministically ordered."""
-    order = sorted(m.worlds, key=lambda w: (m.world_bits(w), w))
     return {
         "atoms": list(m.atoms),
         "worlds": [
-            {"id": w, "true_atoms": sorted(m.true_atoms(w))} for w in order
+            {"id": w, "true_atoms": sorted(m.true_atoms(w))}
+            for w in sorted_worlds(m)
         ],
-        "plausibility": sorted([w, u] for (w, u) in m.plausibility.pairs),
-        "desirability": sorted([w, u] for (w, u) in m.desirability.pairs),
+        "plausibility": _sorted_pairs(m.plausibility),
+        "desirability": _sorted_pairs(m.desirability),
         "intentions": sorted(intentions_of(m)),
     }

@@ -78,6 +78,15 @@ def make_graph(nodes: Iterable[fm.Formula],
     return PriorityGraph(tuple(seen), frozenset(edges))
 
 
+def _edge_index(g: PriorityGraph) -> dict[fm.Formula, int]:
+    """Positions of the nodes that appear on an edge.
+
+    Only these nodes are hashed: extracted graphs have no edges, and their
+    deep disjunctions would recurse through the dataclass __hash__.
+    """
+    return {n: g.nodes.index(n) for edge in g.prec for n in edge}
+
+
 def induced_order(g: PriorityGraph, worlds: Iterable[md.WorldId],
                   valuation: md.Valuation) -> md.Preorder:
     """The lexicographic preorder the graph induces on the given worlds.
@@ -88,7 +97,7 @@ def induced_order(g: PriorityGraph, worlds: Iterable[md.WorldId],
     higher psi that holds at w holds at w' too.
     """
     worlds = frozenset(worlds)
-    index = {n: i for i, n in enumerate(g.nodes)}
+    index = _edge_index(g)
     higher: list[list[int]] = [[] for _ in g.nodes]
     for hi, lo in g.prec:
         higher[index[lo]].append(index[hi])
@@ -324,7 +333,7 @@ def load_program(doc: dict) -> AgentProgram:
 
 
 def dump_graph(g: PriorityGraph) -> dict:
-    index = {n: i for i, n in enumerate(g.nodes)}
+    index = _edge_index(g)
     return {
         "nodes": [fm.render(n) for n in g.nodes],
         "edges": sorted([index[a], index[b]] for (a, b) in g.prec),

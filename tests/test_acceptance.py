@@ -314,6 +314,8 @@ EXIT_CODE_MATRIX = [
       "--library", "running_library.json"), 0),
     (("check", "--model", "inconsistent_model.json",
       "--library", "sensing_library.json", "--json"), 1),
+    (("eval", "--model", "short_pair_model.json", "--formula", "p"), 2),
+    (("eval", "--model", "string_atoms_model.json", "--formula", "p"), 2),
 ]
 
 

@@ -2,6 +2,8 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mindcheck import cli
 from mindcheck import models as md
@@ -281,3 +283,71 @@ class TestSparseWorldIds:
         sparse = self.outputs(capsys, tmp_path, 1000000)
         assert sparse == self.outputs(capsys, tmp_path, 1)
         assert sparse[1][0] == "0"  # the script's assertion held
+
+
+# ---------------------------------------------------------------------------
+# The document writer against the standard library's encoder
+
+INT_PAIRS = st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=2)
+NEAR_PAIRS = st.sampled_from([[True, 0], [0, False], [0, None], [0, 1.5],
+                              [0, 1, 2], [0], ["0", 1], [[0, 1], 2]])
+KEYS = st.text(max_size=6)
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**80, 2**80),
+    st.floats(), st.text(max_size=8),
+    st.lists(INT_PAIRS, max_size=5),
+    st.lists(st.one_of(INT_PAIRS, NEAR_PAIRS), max_size=5),
+)
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(KEYS, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestDumpJson:
+    @settings(max_examples=300)
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert cli._dump_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], [[]], [{}], {"": []}, [[0, 1]], [[True, False]], [[0, 1], [True, 0]],
+        {"z\u00e9": "\u0007\u2028\ud83d\ude00", "a": [[-1, 2**70]]},
+        float("nan"), float("-inf"), -0.0, None, True, "\x00",
+    ])
+    def test_edge_cases(self, value):
+        assert cli._dump_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+class TestNineAtomExtract:
+    """A 512-world induced model extracts without recursing through formulas."""
+
+    PROGRAM = {
+        "atoms": [f"a{i}" for i in range(9)],
+        "K": [],
+        "B": {"nodes": ["a0", "a1 | a2", "a3 & a4"], "edges": [[0, 1]]},
+        "D": {"nodes": ["a5", "a6 -> a7", "a8"], "ranks": [0, 1, 1]},
+        "I": [],
+    }
+
+    def test_induce_then_extract(self, capsys, tmp_path):
+        program = tmp_path / "program.json"
+        program.write_text(json.dumps(self.PROGRAM))
+        model = tmp_path / "model.json"
+        code, _, _ = run(capsys, "induce", "--program", str(program),
+                         "--out", str(model))
+        assert code == 0
+        code, out, err = run(capsys, "extract", "--model", str(model))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        m = md.load_model(json.loads(model.read_text()))
+        assert len(m.worlds) == 512
+        structure = pg.extract_structure(m)
+        for graph, tag in ((structure.plausibility_graph, "plausibility"),
+                           (structure.desirability_graph, "desirability")):
+            assert len(doc[tag]["nodes"]) == len(graph.nodes)
+            assert doc[tag]["edges"] == []
+            induced = pg.induced_order(graph, m.worlds, m.valuation)
+            assert induced == m.order(tag[0].upper())

@@ -205,6 +205,44 @@ class TestModelDocuments:
         with pytest.raises(md.ModelError):
             md.load_model(doc)
 
+    @pytest.mark.parametrize("pairs", [
+        [[0]], [[0, 1, 2]], [[0, "0"]], [[True, 0]], [[0, None]],
+        [[0, 1.0]], [(0, 1)], [0], "01", None, {"0": 1},
+    ])
+    def test_malformed_relation_pairs(self, pairs):
+        doc = dict(self.DOC, plausibility=pairs)
+        with pytest.raises(md.ModelError, match="plausibility"):
+            md.load_model(doc)
+
+    def test_negative_world_id_in_pair(self):
+        doc = dict(self.DOC, plausibility=[[0, -1]])
+        with pytest.raises(md.ModelError, match="leaves the carrier"):
+            md.load_model(doc)
+
+    def test_malformed_pair_is_named(self):
+        doc = dict(self.DOC, plausibility=[[3, 1], [0, "0"], [2, 0]])
+        with pytest.raises(md.ModelError, match=r"\[0, '0'\]"):
+            md.load_model(doc)
+
+    @pytest.mark.parametrize("true_atoms", ["pq", "p", {"p": 1}, 1, [["p"]]])
+    def test_malformed_true_atoms(self, true_atoms):
+        doc = dict(self.DOC, worlds=[{"id": 0, "true_atoms": true_atoms}],
+                   plausibility=[], desirability=[])
+        with pytest.raises(md.ModelError):
+            md.load_model(doc)
+
+    @settings(max_examples=200)
+    @given(st.deferred(lambda: sparse_models()))
+    def test_dump_lists_pairs_in_order(self, m):
+        doc = md.dump_model(m)
+        for field, order in (("plausibility", m.plausibility),
+                             ("desirability", m.desirability)):
+            assert doc[field] == sorted([w, u] for w, u in order.pairs)
+        bits = {w: "".join("1" if w in m.valuation[a] else "0" for a in m.atoms)
+                for w in m.worlds}
+        assert [wd["id"] for wd in doc["worlds"]] == sorted(
+            m.worlds, key=lambda w: (bits[w], w))
+
 
 # ---------------------------------------------------------------------------
 # Bit-row construction against pair-level definitions. World ids are drawn
