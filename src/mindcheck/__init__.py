@@ -13,7 +13,7 @@ from .formulas import (
     ParseError, desugar, is_propositional, parse, render,
 )
 from .models import (
-    AgentModel, ModelError, PracticalAgentModel, PreferenceModel, Preorder,
+    AgentModel, ModelError, PracticalAgentModel, Preorder,
     Violation, dump_model, load_model, satisfying_worlds,
 )
 from .plans import (

@@ -176,10 +176,7 @@ def graph_contract(ag: pg.AgentProgram, target: str, phi: fm.Formula,
         raise pg.ProgramError("bad-target", f"graph_contract target {target!r}")
     order_tag = "P" if target == "B" else "D"
     m = pg.induce_program(ag, lib, check_intentions=False)
-    contracted = contract(m, order_tag, phi)
-    view = (contracted.plausibility_view() if order_tag == "P"
-            else contracted.desirability_view())
-    new_graph = pg.extract_graph(view)
+    new_graph = pg.extract_graph(contract(m, order_tag, phi), order_tag)
     if target == "B":
         return dataclasses.replace(ag, beliefs=new_graph)
     return dataclasses.replace(ag, desires=new_graph)

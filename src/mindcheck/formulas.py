@@ -331,11 +331,15 @@ _DYN_HEADS = {
 }
 
 
+MAX_NESTING = 50
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -370,7 +374,10 @@ class _Parser:
         left = self.disjunction(no_bar)
         if self.peek().kind == "arrow":
             self.advance()
-            return Implies(left, self.formula(no_bar))
+            self.enter()
+            right = self.formula(no_bar)
+            self.depth -= 1
+            return Implies(left, right)
         return left
 
     def disjunction(self, no_bar=False) -> Formula:
@@ -387,7 +394,22 @@ class _Parser:
             f = And(f, self.prefixed())
         return f
 
+    def enter(self) -> None:
+        """Open one nesting level. Every nested construct opens one, in
+        prefixed or on the right of '->', so capping them keeps the parser
+        and every recursive walk of its result within the interpreter's
+        stack. A failed parse is abandoned, so only success closes levels."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"formula nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+
     def prefixed(self) -> Formula:
+        self.enter()
+        f = self._prefixed()
+        self.depth -= 1
+        return f
+
+    def _prefixed(self) -> Formula:
         tok = self.peek()
         if tok.kind == "~":
             self.advance()

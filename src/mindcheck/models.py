@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, compress, count, repeat
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Iterable, Mapping, Optional
 
 from . import formulas as fm
@@ -49,10 +50,22 @@ def mask(worlds: Iterable[WorldId]) -> int:
 
 
 def _bits(row: int):
+    """The set bits of row, ascending, one at a time: cheap on sparse rows
+    and when the caller stops early."""
     while row:
         low = row & -row
         yield low.bit_length() - 1
         row ^= low
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _set_bits(row: int):
+    """The set bits of row, ascending, picked in C: the row is written out
+    lowest bit first as one byte per bit, and compress keeps the set ones.
+    Faster than _bits once a row holds more than a few bits."""
+    return compress(count(), format(row, "b")[::-1].encode().translate(_BIT_BYTES))
 
 
 def _transpose(carrier: frozenset[WorldId],
@@ -216,6 +229,39 @@ class Preorder:
             if not self.le(u, w)
         )
 
+    def reduction_pairs(self) -> list[list[WorldId]]:
+        """The canonical transitive reduction, as ascending pairs [w, u].
+
+        A minimum set of generator pairs whose reflexive-transitive closure
+        is this preorder. A tie class c0 < c1 < ... < ck (k >= 1) gives the
+        cycle [c0,c1] ... [c(k-1),ck], [ck,c0]. Where class C' covers class C
+        (C' strictly above C, no class in between), [min C, min C'] links
+        them. Reflexive pairs are left out.
+
+        A class minimum's covers are the class minima strictly above it,
+        less everything strictly above any of those; the OR over their rows
+        runs at C speed.
+        """
+        up, down = self._up, self._down
+        ties = {w: up[w] & down[w] for w in self.carrier}
+        minima = [w for w, t in ties.items() if t & -t == 1 << w]
+        above = {w: up[w] & ~down[w] for w in minima}
+        out = dict.fromkeys(self.carrier, 0)
+        for w, t in ties.items():
+            if t != 1 << w:
+                later = t >> (w + 1) << (w + 1)
+                out[w] = later & -later or t & -t  # next member, or wrap to c0
+        heads = mask(minima)
+        for w in minima:
+            s = above[w] & heads
+            if s:
+                out[w] |= s & ~reduce(or_, map(above.__getitem__, _set_bits(s)))
+        pairs: list[list[WorldId]] = []
+        for w in sorted(self.carrier):
+            if out[w]:
+                pairs += map(list, zip(repeat(w), _set_bits(out[w])))
+        return pairs
+
     def below(self, w: WorldId) -> frozenset[WorldId]:
         """All u with u <= w."""
         return frozenset(_bits(self._down[w]))
@@ -271,14 +317,6 @@ Valuation = Mapping[str, frozenset[WorldId]]
 
 
 @dataclass(frozen=True)
-class PreferenceModel:
-    atoms: tuple[str, ...]
-    worlds: frozenset[WorldId]
-    order: Preorder
-    valuation: Valuation
-
-
-@dataclass(frozen=True)
 class AgentModel:
     """One world set with a plausibility and a desirability preorder."""
 
@@ -321,14 +359,6 @@ class AgentModel:
             desirability=self.desirability.restrict(keep),
             valuation={a: ws & keep for a, ws in self.valuation.items()},
         )
-
-    def plausibility_view(self) -> PreferenceModel:
-        return PreferenceModel(self.atoms, self.worlds, self.plausibility,
-                               dict(self.valuation))
-
-    def desirability_view(self) -> PreferenceModel:
-        return PreferenceModel(self.atoms, self.worlds, self.desirability,
-                               dict(self.valuation))
 
 
 @dataclass(frozen=True)
@@ -384,7 +414,7 @@ def load_model(doc: dict) -> PracticalAgentModel:
     here), and an optional intentions list.
     """
     try:
-        atoms = tuple(doc["atoms"])
+        atoms = tuple(_names(doc["atoms"], "atoms"))
         world_docs = doc["worlds"]
         p_pairs = doc["plausibility"]
         d_pairs = doc["desirability"]
@@ -396,7 +426,11 @@ def load_model(doc: dict) -> PracticalAgentModel:
         fm.Atom(a)  # name check
     worlds: set[WorldId] = set()
     truths: dict[str, set[WorldId]] = {a: set() for a in atoms}
+    if not isinstance(world_docs, list):
+        raise ModelError(f"worlds must be a list of world entries, got {world_docs!r}")
     for wd in world_docs:
+        if not isinstance(wd, dict) or "id" not in wd:
+            raise ModelError(f"world entry must be an object with an id, got {wd!r}")
         w = wd["id"]
         if not isinstance(w, int) or w < 0:
             raise ModelError(f"world id must be a non-negative int, got {w!r}")
@@ -415,8 +449,15 @@ def load_model(doc: dict) -> PracticalAgentModel:
     val = {a: frozenset(ws) for a, ws in truths.items()}
     plaus = Preorder.from_pairs(wset, _checked_pairs(p_pairs, "plausibility"))
     des = Preorder.from_pairs(wset, _checked_pairs(d_pairs, "desirability"))
-    intentions = frozenset(doc.get("intentions", ()))
+    intentions = frozenset(_names(doc.get("intentions", []), "intentions"))
     return PracticalAgentModel(atoms, wset, plaus, des, val, intentions)
+
+
+def _names(value, field: str) -> list:
+    """A field that must list strings (atom names or plan symbols)."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ModelError(f"{field} must be a list of names, got {value!r}")
+    return value
 
 
 def _checked_pairs(pairs, field: str) -> list:
@@ -442,32 +483,19 @@ def sorted_worlds(m: AgentModel) -> list[WorldId]:
     return sorted(m.worlds, key=lambda w: (m.world_bits(w), w))
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _sorted_pairs(order: Preorder) -> list[list[WorldId]]:
-    """All related pairs [w, u] in ascending order, read off the up rows.
-
-    Each row is written out lowest bit first as a byte per bit, so compress
-    picks the set positions in C.
-    """
-    rows = order.up_rows()
-    pairs: list[list[WorldId]] = []
-    for w in sorted(order.carrier):
-        row_bits = format(rows[w], "b")[::-1].encode().translate(_BIT_BYTES)
-        pairs += map(list, zip(repeat(w), compress(count(), row_bits)))
-    return pairs
-
-
 def dump_model(m: AgentModel) -> dict:
-    """Serialize to the model document shape, deterministically ordered."""
+    """Serialize to the model document shape, deterministically ordered.
+
+    Each order is written as its canonical transitive reduction; load_model
+    closes it again, so the document loads back to the same model.
+    """
     return {
         "atoms": list(m.atoms),
         "worlds": [
             {"id": w, "true_atoms": sorted(m.true_atoms(w))}
             for w in sorted_worlds(m)
         ],
-        "plausibility": _sorted_pairs(m.plausibility),
-        "desirability": _sorted_pairs(m.desirability),
+        "plausibility": m.plausibility.reduction_pairs(),
+        "desirability": m.desirability.reduction_pairs(),
         "intentions": sorted(intentions_of(m)),
     }

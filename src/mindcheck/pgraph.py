@@ -10,7 +10,6 @@ agent model over the knowledge-consistent valuations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -53,29 +52,36 @@ def make_graph(nodes: Iterable[fm.Formula],
 
     Nodes must be propositional; duplicates are dropped keeping first
     occurrence; a priority cycle is rejected (the order must stay strict).
+    Nodes are told apart by their rendered text, which parse inverts:
+    comparing extracted disjunctions as dataclasses would recurse once per
+    disjunct.
     """
     seen: list[fm.Formula] = []
+    index: dict[str, int] = {}
     for n in nodes:
         if not fm.is_propositional(n):
             raise GraphError(f"non-propositional node: {fm.render(n)}")
-        if n not in seen:
+        key = fm.render(n)
+        if key not in index:
+            index[key] = len(seen)
             seen.append(n)
-    edges = set()
+    below = [0] * len(seen)  # bit j of below[i]: node i outranks node j
     for hi, lo in prec:
-        if hi not in seen or lo not in seen:
+        i, j = index.get(fm.render(hi)), index.get(fm.render(lo))
+        if i is None or j is None:
             raise GraphError("priority edge mentions a formula outside the node set")
-        edges.add((hi, lo))
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(tuple(edges), repeat=2):
-            if b == c and (a, d) not in edges:
-                edges.add((a, d))
-                changed = True
-    for hi, lo in edges:
-        if hi == lo:
-            raise GraphError(f"priority cycle through {fm.render(hi)}")
-    return PriorityGraph(tuple(seen), frozenset(edges))
+        below[i] |= 1 << j
+    for k in range(len(seen)):  # Warshall: close over paths through node k
+        if below[k]:
+            for i, row in enumerate(below):
+                if row >> k & 1:
+                    below[i] = row | below[k]
+    for i, row in enumerate(below):
+        if row >> i & 1:
+            raise GraphError(f"priority cycle through {fm.render(seen[i])}")
+    return PriorityGraph(tuple(seen), frozenset(
+        (seen[i], seen[j]) for i, row in enumerate(below) if row
+        for j in range(len(seen)) if row >> j & 1))
 
 
 def _edge_index(g: PriorityGraph) -> dict[fm.Formula, int]:
@@ -117,8 +123,8 @@ def induced_order(g: PriorityGraph, worlds: Iterable[md.WorldId],
     return md.Preorder(worlds, up)
 
 
-def extract_graph(m: md.PreferenceModel) -> PriorityGraph:
-    """A priority graph whose induced order reproduces m.order exactly.
+def extract_graph(m: md.AgentModel, tag: str) -> PriorityGraph:
+    """A priority graph whose induced order reproduces m.order(tag) exactly.
 
     Uses the antichain of down-set characteristic formulas: one node per
     world w, true exactly on {u | u <= w}. Requires distinct worlds to have
@@ -126,7 +132,7 @@ def extract_graph(m: md.PreferenceModel) -> PriorityGraph:
     """
     by_val: dict[str, md.WorldId] = {}
     for w in m.worlds:
-        bits = _bits_of(m, w)
+        bits = m.world_bits(w)
         if bits in by_val:
             raise GraphError(
                 f"valuation not injective: worlds {by_val[bits]} and {w} agree"
@@ -136,17 +142,13 @@ def extract_graph(m: md.PreferenceModel) -> PriorityGraph:
     characteristic = {w: _characteristic(m, w) for w in ordered}
     nodes: list[fm.Formula] = []
     seen: set[int] = set()  # a node is fixed by its down-set: dedupe by mask
-    down = m.order.down_rows()
+    down = m.order(tag).down_rows()
     for w in ordered:
         if down[w] not in seen:
             seen.add(down[w])
             nodes.append(_disjunction(
                 [characteristic[u] for u in ordered if down[w] >> u & 1]))
     return PriorityGraph(tuple(nodes), frozenset())
-
-
-def _bits_of(m, w) -> str:
-    return "".join("1" if w in m.valuation[a] else "0" for a in m.atoms)
 
 
 def _characteristic(m, w) -> fm.Formula:
@@ -188,10 +190,7 @@ class AgentStructure:
 
 
 def extract_structure(m: md.AgentModel) -> AgentStructure:
-    return AgentStructure(
-        extract_graph(m.plausibility_view()),
-        extract_graph(m.desirability_view()),
-    )
+    return AgentStructure(extract_graph(m, "P"), extract_graph(m, "D"))
 
 
 @dataclass(frozen=True)

@@ -71,9 +71,9 @@ def random_model(rng: random.Random, n_atoms=2, min_worlds=1,
         _mixed_order(rng, worlds), valuation, frozenset(intentions))
 
 
-def random_injective_preference_model(rng: random.Random,
-                                      max_worlds=5) -> md.PreferenceModel:
-    """Random preorder over worlds with pairwise distinct valuations."""
+def random_injective_model(rng: random.Random, max_worlds=5) -> md.AgentModel:
+    """Random plausibility preorder over worlds with pairwise distinct
+    valuations; desirability is the identity."""
     atoms = ("p", "q", "r")
     ids = rng.sample(range(8), k=rng.randint(1, max_worlds))
     worlds = frozenset(ids)
@@ -82,7 +82,8 @@ def random_injective_preference_model(rng: random.Random,
         for i, a in enumerate(atoms)
     }
     order = random_preorder(rng, worlds)
-    return md.PreferenceModel(atoms, worlds, order, valuation)
+    return md.AgentModel(atoms, worlds, order, md.Preorder.identity(worlds),
+                         valuation)
 
 
 def random_graph(rng: random.Random, atoms, max_nodes=4) -> pg.PriorityGraph:

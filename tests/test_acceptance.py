@@ -61,9 +61,9 @@ def test_criterion_2_representation_round_trip():
     rng = random.Random(102)
     failures = 0
     for _ in range(500):
-        m = generators.random_injective_preference_model(rng, max_worlds=5)
-        g = pg.extract_graph(m)
-        if pg.induced_order(g, m.worlds, m.valuation) != m.order:
+        m = generators.random_injective_model(rng, max_worlds=5)
+        g = pg.extract_graph(m, "P")
+        if pg.induced_order(g, m.worlds, m.valuation) != m.plausibility:
             failures += 1
     report("criterion 2: graph extraction round-trips pair-for-pair",
            failures == 0, "500 preorders")
@@ -316,6 +316,12 @@ EXIT_CODE_MATRIX = [
       "--library", "sensing_library.json", "--json"), 1),
     (("eval", "--model", "short_pair_model.json", "--formula", "p"), 2),
     (("eval", "--model", "string_atoms_model.json", "--formula", "p"), 2),
+    (("eval", "--model", "bare_world_model.json", "--formula", "p"), 2),
+    (("eval", "--model", "idless_world_model.json", "--formula", "p"), 2),
+    (("eval", "--model", "string_atom_list_model.json", "--formula", "p"), 2),
+    (("eval", "--model", "string_intentions_model.json", "--formula", "p"), 2),
+    (("eval", "--model", "chain_model.json",
+      "--formula", "~" * 3000 + "p"), 2),
 ]
 
 

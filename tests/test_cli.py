@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mindcheck import cli
+from mindcheck import cli, dynamics
+from mindcheck import formulas as fm
 from mindcheck import models as md
 from mindcheck import pgraph as pg
+from mindcheck import plans as pl
 
 from common import running_library, running_program
 
@@ -321,6 +323,61 @@ class TestDumpJson:
         assert cli._dump_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("name", [
+        "bare_world_model.json", "idless_world_model.json",
+        "string_atom_list_model.json", "string_intentions_model.json",
+    ])
+    def test_malformed_model_is_model_error(self, capsys, name):
+        code, out, err = run(capsys, "eval", "--model", fx(name),
+                             "--formula", "p")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: model-error: ")
+
+    def test_deep_nesting_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "eval", "--model", fx("chain_model.json"),
+                             "--formula", "~" * 3000 + "p")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: parse-error: formula nested deeper than")
+
+    def test_nesting_up_to_the_limit_evaluates(self, capsys):
+        depth = fm.MAX_NESTING - 1
+        for formula in ("~" * depth + "p", "(" * depth + "p" + ")" * depth,
+                        "[!p] " * depth + "p", "B(" * depth + "p" + ")" * depth):
+            code, _, err = run(capsys, "eval", "--model", fx("chain_model.json"),
+                               "--formula", formula)
+            assert code in (0, 1) and err == ""
+
+
+class TestChainInduce:
+    """A 10-atom chain program: the reduction has O(W) pairs per order."""
+
+    PROGRAM = {
+        "atoms": [f"a{i}" for i in range(10)],
+        "K": [],
+        "B": {"nodes": [f"a{i}" for i in range(10)], "ranks": list(range(10))},
+        "D": {"nodes": []},
+        "I": [],
+    }
+
+    def test_emits_linear_relations(self, capsys, tmp_path):
+        program = tmp_path / "program.json"
+        program.write_text(json.dumps(self.PROGRAM))
+        code, out, _ = run(capsys, "induce", "--program", str(program))
+        assert code == 0
+        doc = json.loads(out)
+        ids = sorted(w["id"] for w in doc["worlds"])
+        assert len(ids) == 1024
+        # beliefs rank every world apart: one cover pair per step of the chain
+        assert len(doc["plausibility"]) == len(ids) - 1
+        # no desires tie all worlds: one cycle through them
+        assert doc["desirability"] == [list(p) for p in zip(ids, ids[1:])] + [
+            [ids[-1], ids[0]]]
+        m = md.load_model(doc)
+        assert m == pg.induce_program(pg.load_program(self.PROGRAM),
+                                      pl.EMPTY_LIBRARY)
+
+
 class TestNineAtomExtract:
     """A 512-world induced model extracts without recursing through formulas."""
 
@@ -351,3 +408,20 @@ class TestNineAtomExtract:
             assert doc[tag]["edges"] == []
             induced = pg.induced_order(graph, m.worlds, m.valuation)
             assert induced == m.order(tag[0].upper())
+
+    def test_extracted_graph_document_reloads(self):
+        m = pg.induce_program(pg.load_program(self.PROGRAM), pl.EMPTY_LIBRARY)
+        for tag in ("P", "D"):
+            doc = pg.dump_graph(pg.extract_graph(m, tag))
+            graph = pg.load_graph(doc, tag)
+            assert [fm.render(n) for n in graph.nodes] == doc["nodes"]
+            assert pg.induced_order(graph, m.worlds, m.valuation) == m.order(tag)
+
+    def test_graph_contract(self):
+        ag = pg.load_program(self.PROGRAM)
+        phi = fm.parse("a0")
+        for target, tag in (("B", "P"), ("D", "D")):
+            contracted = dynamics.graph_contract(ag, target, phi, pl.EMPTY_LIBRARY)
+            m = pg.induce_program(contracted, pl.EMPTY_LIBRARY)
+            expected = dynamics.contract(pg.induce_program(ag, pl.EMPTY_LIBRARY), tag, phi)
+            assert m.order(tag) == expected.order(tag)

@@ -85,6 +85,25 @@ class TestParse:
         f = fm.parse("B((a|b)|c)")
         assert f == fm.Bel(fm.Or(fm.Atom("a"), fm.Atom("b")), fm.Atom("c"))
 
+    @pytest.mark.parametrize("make", [
+        lambda n: "~" * n + "p",
+        lambda n: "(" * n + "p" + ")" * n,
+        lambda n: "[!p] " * n + "p",
+        lambda n: "B(" * n + "p" + ")" * n,
+        lambda n: " -> ".join(["p"] * (n + 1)),
+    ])
+    def test_nesting_is_capped(self, make):
+        depth = fm.MAX_NESTING - 1
+        assert fm.parse(make(depth)) == fm.parse(fm.render(fm.parse(make(depth))))
+        with pytest.raises(fm.ParseError, match="nested deeper than"):
+            fm.parse(make(fm.MAX_NESTING))
+        with pytest.raises(fm.ParseError, match="nested deeper than"):
+            fm.parse(make(3000))
+
+    def test_flat_chains_are_not_nesting(self):
+        f = fm.parse(" | ".join(["p"] * (2 * fm.MAX_NESTING)))
+        assert isinstance(f, fm.Or)
+
 
 class TestRender:
     def test_examples(self):

@@ -231,13 +231,30 @@ class TestModelDocuments:
         with pytest.raises(md.ModelError):
             md.load_model(doc)
 
+    @pytest.mark.parametrize("field, value", [
+        ("worlds", [5]), ("worlds", [{"true_atoms": []}]), ("worlds", "01"),
+        ("atoms", "pq"), ("atoms", ["p", 5]), ("intentions", "ab"),
+        ("intentions", [1]),
+    ])
+    def test_malformed_entries(self, field, value):
+        doc = dict(self.DOC, **{field: value})
+        with pytest.raises(md.ModelError, match=field if field != "worlds" else "world"):
+            md.load_model(doc)
+
     @settings(max_examples=200)
     @given(st.deferred(lambda: sparse_models()))
     def test_dump_lists_pairs_in_order(self, m):
+        """Each order is written as its canonical transitive reduction."""
         doc = md.dump_model(m)
         for field, order in (("plausibility", m.plausibility),
                              ("desirability", m.desirability)):
-            assert doc[field] == sorted([w, u] for w, u in order.pairs)
+            closed = order.pairs
+            assert doc[field] == canonical_reduction(m.worlds, closed)
+            emitted = [tuple(p) for p in doc[field]]
+            assert warshall(m.worlds, emitted) == closed
+            for pair in emitted:
+                others = [q for q in emitted if q != pair]
+                assert pair not in warshall(m.worlds, others)
         bits = {w: "".join("1" if w in m.valuation[a] else "0" for a in m.atoms)
                 for w in m.worlds}
         assert [wd["id"] for wd in doc["worlds"]] == sorted(
@@ -281,6 +298,29 @@ def warshall(worlds, pairs):
             if (i, k) in rel:
                 rel |= {(i, j) for j in worlds if (k, j) in rel}
     return frozenset(rel)
+
+
+def canonical_reduction(worlds, closed):
+    """The documented reduction of a closed relation, on plain pair sets:
+    each tie class c0 < ... < ck (k >= 1) as the cycle c0->c1->...->ck->c0,
+    one pair [min C, min C'] per class C' covering class C, sorted."""
+    tie = {w: frozenset(u for u in worlds if (w, u) in closed and (u, w) in closed)
+           for w in worlds}
+    classes = set(tie.values())
+    out = set()
+    for c in classes:
+        ms = sorted(c)
+        if len(ms) > 1:
+            out |= set(zip(ms, ms[1:])) | {(ms[-1], ms[0])}
+
+    def lt(c, d):
+        return (min(c), min(d)) in closed and (min(d), min(c)) not in closed
+
+    for c in classes:
+        for d in classes:
+            if lt(c, d) and not any(lt(c, e) and lt(e, d) for e in classes):
+                out.add((min(c), min(d)))
+    return sorted([w, u] for w, u in out)
 
 
 def minimal(pairs, subset):

@@ -98,20 +98,21 @@ class TestExtractGraph:
     def test_identity_order_two_worlds(self):
         worlds = frozenset({0, 3})
         valuation = {"p": frozenset({3}), "q": frozenset({3})}
-        m = md.PreferenceModel(("p", "q"), worlds,
-                               md.Preorder.identity(worlds), valuation)
-        g = pg.extract_graph(m)
+        ident = md.Preorder.identity(worlds)
+        m = md.AgentModel(("p", "q"), worlds, ident, ident, valuation)
+        g = pg.extract_graph(m, "P")
         assert g.prec == frozenset()
         assert set(g.nodes) == {
             fm.parse("~p & ~q"), fm.parse("p & q")}
-        assert pg.induced_order(g, worlds, valuation) == m.order
+        assert pg.induced_order(g, worlds, valuation) == ident
 
     def test_two_world_chain(self):
         worlds = frozenset({3, 1})
         valuation = {"p": frozenset({1, 3}), "q": frozenset({3})}
         order = md.Preorder.from_pairs(worlds, [(3, 1)])
-        m = md.PreferenceModel(("p", "q"), worlds, order, valuation)
-        g = pg.extract_graph(m)
+        m = md.AgentModel(("p", "q"), worlds, md.Preorder.identity(worlds),
+                          order, valuation)
+        g = pg.extract_graph(m, "D")
         # down-set disjuncts are emitted sorted by valuation bits
         assert set(g.nodes) == {
             fm.parse("p & q"), fm.parse("(p & ~q) | (p & q)")}
@@ -120,26 +121,26 @@ class TestExtractGraph:
     def test_single_world(self):
         worlds = frozenset({1})
         valuation = {"p": frozenset({1})}
-        m = md.PreferenceModel(("p",), worlds,
-                               md.Preorder.identity(worlds), valuation)
-        g = pg.extract_graph(m)
+        ident = md.Preorder.identity(worlds)
+        m = md.AgentModel(("p",), worlds, ident, ident, valuation)
+        g = pg.extract_graph(m, "P")
         assert g.nodes == (fm.Atom("p"),)
-        assert pg.induced_order(g, worlds, valuation) == m.order
+        assert pg.induced_order(g, worlds, valuation) == ident
 
     def test_non_injective_valuation_rejected(self):
         worlds = frozenset({0, 1})
         valuation = {"p": frozenset()}
-        m = md.PreferenceModel(("p",), worlds,
-                               md.Preorder.identity(worlds), valuation)
+        ident = md.Preorder.identity(worlds)
+        m = md.AgentModel(("p",), worlds, ident, ident, valuation)
         with pytest.raises(pg.GraphError, match="injective"):
-            pg.extract_graph(m)
+            pg.extract_graph(m, "P")
 
     def test_round_trip_fuzz(self):
         rng = random.Random(42)
         for _ in range(300):
-            m = generators.random_injective_preference_model(rng)
-            g = pg.extract_graph(m)
-            assert pg.induced_order(g, m.worlds, m.valuation) == m.order
+            m = generators.random_injective_model(rng)
+            g = pg.extract_graph(m, "P")
+            assert pg.induced_order(g, m.worlds, m.valuation) == m.plausibility
 
 
 class TestInduceProgram:
