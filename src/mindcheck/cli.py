@@ -62,6 +62,9 @@ def main(argv=None) -> int:
     except _ENGINE_ERRORS as exc:
         _emit_error(args, _reason_of(exc), str(exc))
         return 2
+    except Exception as exc:  # last resort: no traceback reaches the user
+        _emit_error(args, "internal-error", f"{type(exc).__name__}: {exc}")
+        return 2
 
 
 def _reason_of(exc) -> str:

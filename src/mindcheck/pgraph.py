@@ -11,6 +11,7 @@ agent model over the knowledge-consistent valuations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from . import formulas as fm
@@ -53,8 +54,8 @@ def make_graph(nodes: Iterable[fm.Formula],
     Nodes must be propositional; duplicates are dropped keeping first
     occurrence; a priority cycle is rejected (the order must stay strict).
     Nodes are told apart by their rendered text, which parse inverts:
-    comparing extracted disjunctions as dataclasses would recurse once per
-    disjunct.
+    comparing a long user-written chain such as p | p | ... | p as
+    dataclasses would recurse once per operand.
     """
     seen: list[fm.Formula] = []
     index: dict[str, int] = {}
@@ -87,8 +88,8 @@ def make_graph(nodes: Iterable[fm.Formula],
 def _edge_index(g: PriorityGraph) -> dict[fm.Formula, int]:
     """Positions of the nodes that appear on an edge.
 
-    Only these nodes are hashed: extracted graphs have no edges, and their
-    deep disjunctions would recurse through the dataclass __hash__.
+    Only these nodes are hashed: extracted graphs have no edges, and a long
+    user-written chain would recurse through the dataclass __hash__.
     """
     return {n: g.nodes.index(n) for edge in g.prec for n in edge}
 
@@ -126,10 +127,16 @@ def induced_order(g: PriorityGraph, worlds: Iterable[md.WorldId],
 def extract_graph(m: md.AgentModel, tag: str) -> PriorityGraph:
     """A priority graph whose induced order reproduces m.order(tag) exactly.
 
-    Uses the antichain of down-set characteristic formulas: one node per
-    world w, true exactly on {u | u <= w}. Requires distinct worlds to have
-    distinct valuations, since worlds are picked out by their valuations.
+    Uses the antichain of down-set formulas: one node per distinct down-set
+    {u | u <= w}, true exactly at the valuations of its worlds. Requires
+    distinct worlds to have distinct valuations, since worlds are picked out
+    by their valuations. Each node is the reduced Shannon decision tree of
+    its down-set over the atoms in sorted order (Bryant 1986), built once
+    per distinct sub-table and shared between nodes.
     """
+    if len(m.atoms) > MAX_PROGRAM_ATOMS:
+        raise GraphError(f"extract supports at most {MAX_PROGRAM_ATOMS} atoms, "
+                         f"the model has {len(m.atoms)}")
     by_val: dict[str, md.WorldId] = {}
     for w in m.worlds:
         bits = m.world_bits(w)
@@ -138,44 +145,73 @@ def extract_graph(m: md.AgentModel, tag: str) -> PriorityGraph:
                 f"valuation not injective: worlds {by_val[bits]} and {w} agree"
             )
         by_val[bits] = w
-    ordered = [by_val[bits] for bits in sorted(by_val)]
-    characteristic = {w: _characteristic(m, w) for w in ordered}
+    # A truth table is an int with bit c set when the valuation whose code is
+    # c lies in the set; a code reads the atoms in sorted order, first atom
+    # highest. pick maps a down row rendered one character per world id
+    # (plus a leading '0' for codes no world has) to its table's digits.
+    rank = sorted(range(len(m.atoms)), key=m.atoms.__getitem__)
+    atoms = [m.atoms[i] for i in rank]
+    width = max(m.worlds, default=-1) + 1
+    top_code = (1 << len(atoms)) - 1
+    slots = [0] * (top_code + 1)
+    for bits, w in by_val.items():
+        slots[top_code - int("".join(bits[i] for i in rank) or "0", 2)] = width - w
+    pick = itemgetter(*slots)
+    fmt = f"0{width + 1}b"
+    tree = _decision_trees(atoms)
     nodes: list[fm.Formula] = []
-    seen: set[int] = set()  # a node is fixed by its down-set: dedupe by mask
+    seen: set[int] = set()  # a node is fixed by its down-set: dedupe by row
     down = m.order(tag).down_rows()
-    for w in ordered:
-        if down[w] not in seen:
-            seen.add(down[w])
-            nodes.append(_disjunction(
-                [characteristic[u] for u in ordered if down[w] >> u & 1]))
+    for bits in sorted(by_val):
+        row = down[by_val[bits]]
+        if row not in seen:
+            seen.add(row)
+            nodes.append(tree(int("".join(pick(format(row, fmt))), 2)))
     return PriorityGraph(tuple(nodes), frozenset())
 
 
-def _characteristic(m, w) -> fm.Formula:
-    """Conjunction of literals true exactly at w's valuation."""
-    lits: list[fm.Formula] = []
-    for a in sorted(m.atoms):
-        atom = fm.Atom(a)
-        lits.append(atom if w in m.valuation[a] else fm.Not(atom))
-    return _conjunction(lits)
+def _decision_trees(atoms: list[str]):
+    """Builder of reduced decision trees over atoms, first atom at the root.
+
+    The builder takes a truth table of 2^len(atoms) bits. A table of 2^k
+    bits splits on atoms[-k]: its high half is where that atom holds. Equal
+    sub-tables yield the same object, so children are compared with `is`.
+    """
+    full = [(1 << (1 << k)) - 1 for k in range(len(atoms) + 1)]
+    lits = [(fm.Atom(a), fm.Not(fm.Atom(a))) for a in atoms]
+    memo: dict[tuple[int, int], fm.Formula] = {}
+
+    def node(table: int, k: int) -> fm.Formula:
+        if table == 0:
+            return _BOTTOM
+        if table == full[k]:
+            return _TOP
+        f = memo.get((table, k))
+        if f is None:
+            lo = node(table & full[k - 1], k - 1)
+            hi = node(table >> (1 << (k - 1)), k - 1)
+            memo[table, k] = f = _shannon(*lits[-k], lo, hi)
+        return f
+
+    return lambda table: node(table, len(atoms))
 
 
-def _conjunction(fs: list[fm.Formula]) -> fm.Formula:
-    if not fs:
-        return fm.Top()
-    acc = fs[0]
-    for f in fs[1:]:
-        acc = fm.And(acc, f)
-    return acc
+_TOP, _BOTTOM = fm.Top(), fm.Bottom()
 
 
-def _disjunction(fs: list[fm.Formula]) -> fm.Formula:
-    if not fs:
-        return fm.Bottom()
-    acc = fs[0]
-    for f in fs[1:]:
-        acc = fm.Or(acc, f)
-    return acc
+def _shannon(a, not_a, lo, hi) -> fm.Formula:
+    """hi where a holds, lo where it fails, with constant branches folded."""
+    if lo is hi:
+        return lo
+    if lo is _BOTTOM:
+        return a if hi is _TOP else fm.And(a, hi)
+    if lo is _TOP:
+        return not_a if hi is _BOTTOM else fm.Or(not_a, hi)
+    if hi is _BOTTOM:
+        return fm.And(not_a, lo)
+    if hi is _TOP:
+        return fm.Or(a, lo)
+    return fm.Or(fm.And(a, hi), fm.And(not_a, lo))
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +354,7 @@ def load_program(doc: dict) -> AgentProgram:
     desires = load_graph(doc.get("D", {}), "D")
     intentions = frozenset(doc.get("I", []))
     ag = AgentProgram(atoms, knowledge, beliefs, desires, intentions)
-    known = fm.atoms_of(_conjunction(list(knowledge))) \
-        | set().union(*(fm.atoms_of(n) for n in beliefs.nodes), frozenset()) \
-        | set().union(*(fm.atoms_of(n) for n in desires.nodes), frozenset())
+    known = set().union(*map(fm.atoms_of, knowledge + beliefs.nodes + desires.nodes))
     missing = known - set(atoms)
     if missing:
         raise ProgramError("bad-program",

@@ -322,6 +322,8 @@ EXIT_CODE_MATRIX = [
     (("eval", "--model", "string_intentions_model.json", "--formula", "p"), 2),
     (("eval", "--model", "chain_model.json",
       "--formula", "~" * 3000 + "p"), 2),
+    (("eval", "--model", "chain_model.json",
+      "--formula", " | ".join(["p"] * 500)), 2),
 ]
 
 

@@ -425,3 +425,44 @@ class TestNineAtomExtract:
             m = pg.induce_program(contracted, pl.EMPTY_LIBRARY)
             expected = dynamics.contract(pg.induce_program(ag, pl.EMPTY_LIBRARY), tag, phi)
             assert m.order(tag) == expected.order(tag)
+
+    def test_revise_and_upgrade_with_extracted_nodes(self):
+        ag = dynamics.graph_contract(pg.load_program(self.PROGRAM), "B",
+                                     fm.parse("a0"), pl.EMPTY_LIBRARY)
+        revised = dynamics.revise_drop(ag, fm.parse("a1"), pl.EMPTY_LIBRARY)
+        m = pg.induce_program(revised, pl.EMPTY_LIBRARY)
+        extracted = revised.beliefs.nodes[-1]
+        upgraded = dynamics.graph_upgrade(revised.beliefs, extracted)
+        assert upgraded.nodes[0] is extracted
+        assert (pg.induced_order(upgraded, m.worlds, m.valuation)
+                == dynamics.upgrade(m, "P", extracted).plausibility)
+
+
+class TestTenAtomExtract:
+    """Extraction past 9 atoms: nodes are shallow decision trees."""
+
+    PROGRAM = {
+        "atoms": [f"a{i}" for i in range(10)],
+        "K": [],
+        "B": {"nodes": [f"a{i}" for i in range(10)], "ranks": list(range(10))},
+        "D": {"nodes": ["a0 | a1", "a2 | a3", "a4 | a5"]},
+        "I": [],
+    }
+
+    def test_induce_then_extract(self, capsys, tmp_path):
+        program = tmp_path / "program.json"
+        program.write_text(json.dumps(self.PROGRAM))
+        model = tmp_path / "model.json"
+        code, _, _ = run(capsys, "induce", "--program", str(program),
+                         "--out", str(model))
+        assert code == 0
+        code, out, err = run(capsys, "extract", "--model", str(model))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        m = md.load_model(json.loads(model.read_text()))
+        assert len(m.worlds) == 1024
+        for tag in ("plausibility", "desirability"):
+            assert doc[tag]["edges"] == []
+            graph = pg.load_graph(doc[tag], tag)
+            induced = pg.induced_order(graph, m.worlds, m.valuation)
+            assert induced == m.order(tag[0].upper())

@@ -22,6 +22,24 @@ def two_atom_world_set():
     return worlds, valuation
 
 
+def holds_at(f, true_atoms) -> bool:
+    """Truth of a propositional formula where exactly true_atoms hold."""
+    if isinstance(f, fm.Atom):
+        return f.name in true_atoms
+    if isinstance(f, (fm.Top, fm.Bottom)):
+        return isinstance(f, fm.Top)
+    if isinstance(f, fm.Not):
+        return not holds_at(f.child, true_atoms)
+    left, right = holds_at(f.left, true_atoms), holds_at(f.right, true_atoms)
+    return {fm.And: left and right, fm.Or: left or right,
+            fm.Implies: not left or right}[type(f)]
+
+
+def nesting_depth(f) -> int:
+    children = [getattr(f, k) for k in ("child", "left", "right") if hasattr(f, k)]
+    return 1 + max(map(nesting_depth, children), default=0)
+
+
 def running_library():
     return pl.load_library(
         {"plans": [{"name": "alpha", "pre": "T", "post": "p"}]})
@@ -113,9 +131,8 @@ class TestExtractGraph:
         m = md.AgentModel(("p", "q"), worlds, md.Preorder.identity(worlds),
                           order, valuation)
         g = pg.extract_graph(m, "D")
-        # down-set disjuncts are emitted sorted by valuation bits
-        assert set(g.nodes) == {
-            fm.parse("p & q"), fm.parse("(p & ~q) | (p & q)")}
+        # the down-set {pq, p~q} is the p-worlds, so its node is just p
+        assert set(g.nodes) == {fm.parse("p & q"), fm.parse("p")}
         assert pg.induced_order(g, worlds, valuation) == order
 
     def test_single_world(self):
@@ -133,6 +150,50 @@ class TestExtractGraph:
         ident = md.Preorder.identity(worlds)
         m = md.AgentModel(("p",), worlds, ident, ident, valuation)
         with pytest.raises(pg.GraphError, match="injective"):
+            pg.extract_graph(m, "P")
+
+    def test_nodes_match_down_set_minterms(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            names = rng.sample(["b", "a", "d", "c", "e"], k=rng.randint(0, 5))
+            codes = rng.sample(range(2 ** len(names)),
+                               k=rng.randint(1, min(6, 2 ** len(names))))
+            worlds = rng.sample(range(20), k=len(codes))
+            true_at = {w: {a for i, a in enumerate(names) if c >> i & 1}
+                       for w, c in zip(worlds, codes)}
+            valuation = {a: frozenset(w for w in worlds if a in true_at[w])
+                         for a in names}
+            edges = [(rng.choice(worlds), rng.choice(worlds))
+                     for _ in range(rng.randint(0, 2 * len(worlds)))]
+            pairs = oracles.closure(worlds, edges)
+            order = md.Preorder.from_pairs(worlds, edges)
+            m = md.AgentModel(tuple(names), frozenset(worlds), order,
+                              md.Preorder.identity(worlds), valuation)
+            # expected nodes: each distinct down-set's minterms, in the order
+            # of the worlds' valuation strings over the declared atoms
+            bits = {w: "".join("1" if a in true_at[w] else "0" for a in names)
+                    for w in worlds}
+            minterms = []
+            for w in sorted(worlds, key=bits.get):
+                below = {frozenset(true_at[u]) for u in worlds
+                         if (u, w) in pairs}
+                if below not in minterms:
+                    minterms.append(below)
+            g = pg.extract_graph(m, "P")
+            assert len(g.nodes) == len(minterms)
+            for node, below in zip(g.nodes, minterms):
+                assert nesting_depth(node) <= 2 * len(names) + 2
+                for code in range(2 ** len(names)):
+                    true = {a for i, a in enumerate(names) if code >> i & 1}
+                    assert holds_at(node, true) == (true in below)
+
+    def test_more_atoms_than_the_cap_rejected(self):
+        atoms = tuple(f"a{i}" for i in range(pg.MAX_PROGRAM_ATOMS + 1))
+        worlds = frozenset({0, 1})
+        valuation = {a: frozenset({1}) for a in atoms}
+        ident = md.Preorder.identity(worlds)
+        m = md.AgentModel(atoms, worlds, ident, ident, valuation)
+        with pytest.raises(pg.GraphError, match="at most"):
             pg.extract_graph(m, "P")
 
     def test_round_trip_fuzz(self):
