@@ -1,115 +1,38 @@
 """Randomized sweeps beyond the pytest suite's counts.
 
-Checks, over seeded random instances: preorder preservation under all four
-dynamic operations, graph/model commutation for announcement, upgrade,
-contraction and the drop-revision, and the plan/goal connection on
-P-consistent models. Prints a summary and exits nonzero on any violation.
+Checks, over seeded random instances from tests/generators.py: preorder
+preservation under all four dynamic operations, graph/model commutation for
+announcement, upgrade, contraction and the drop-revision, and the plan/goal
+connection on P-consistent models. Prints a summary and exits nonzero on
+any violation.
 
     python3 scripts/stress_sweep.py --count 1000 --atoms 3 --seed 7
 """
 
 import argparse
 import dataclasses
+import pathlib
 import random
 import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from mindcheck import checker, dynamics
 from mindcheck import formulas as fm
 from mindcheck import models as md
 from mindcheck import pgraph as pg
-from mindcheck import plans as pl
 
-ATOM_POOL = ("p", "q", "r", "s")
-
-
-def random_prop(rng, atoms, depth=2):
-    if depth == 0 or rng.random() < 0.4:
-        roll = rng.random()
-        if roll < 0.8:
-            return fm.Atom(rng.choice(atoms))
-        return fm.Top() if roll < 0.9 else fm.Bottom()
-    kind = rng.choice(("not", "and", "or", "implies"))
-    if kind == "not":
-        return fm.Not(random_prop(rng, atoms, depth - 1))
-    ctor = {"and": fm.And, "or": fm.Or, "implies": fm.Implies}[kind]
-    return ctor(random_prop(rng, atoms, depth - 1),
-                random_prop(rng, atoms, depth - 1))
+import generators as gen
+from generators import models_isomorphic as isomorphic
 
 
-def random_order(rng, worlds):
-    ws = sorted(worlds)
-    if rng.random() < 0.5:
-        rng.shuffle(ws)
-        pairs = [(ws[i], ws[j]) for i in range(len(ws))
-                 for j in range(i, len(ws))]
-        return md.Preorder.from_pairs(frozenset(ws), pairs, close=False)
-    edges = [(rng.choice(ws), rng.choice(ws))
-             for _ in range(rng.randint(0, 2 * len(ws)))]
-    return md.Preorder.from_pairs(frozenset(ws), edges, close=True)
-
-
-def random_model(rng, atoms):
-    universe = list(range(2 ** len(atoms)))
-    worlds = frozenset(rng.sample(universe,
-                                  k=rng.randint(2, len(universe))))
-    valuation = {a: frozenset(w for w in worlds if w >> i & 1)
-                 for i, a in enumerate(atoms)}
-    return md.PracticalAgentModel(atoms, worlds, random_order(rng, worlds),
-                                  random_order(rng, worlds), valuation)
-
-
-def random_graph(rng, atoms):
-    nodes = []
-    for _ in range(rng.randint(0, 4)):
-        n = random_prop(rng, atoms, rng.randint(0, 2))
-        if n not in nodes:
-            nodes.append(n)
-    prec = [(nodes[i], nodes[j]) for i in range(len(nodes))
-            for j in range(i + 1, len(nodes)) if rng.random() < 0.4]
-    return pg.make_graph(nodes, prec)
-
-
-def random_library(rng, atoms):
-    plans = {}
-    for name in ("alpha", "beta", "gamma")[: rng.randint(1, 3)]:
-        pre = fm.Top() if rng.random() < 0.6 else random_prop(rng, atoms, 1)
-        atom = fm.Atom(rng.choice(atoms))
-        post = atom if rng.random() < 0.7 else fm.Not(atom)
-        plans[name] = pl.make_plan(name, pre, post)
-    return pl.PlanLibrary(plans)
-
-
-def random_program(rng, atoms):
-    while True:
-        knowledge = tuple(random_prop(rng, atoms, 1)
-                          for _ in range(rng.randint(0, 1)))
-        if pg.knowledge_worlds(atoms, knowledge):
-            break
-    return pg.AgentProgram(atoms, knowledge, random_graph(rng, atoms),
-                           random_graph(rng, atoms), frozenset())
-
-
-def isomorphic(a, b):
-    amap = {a.world_bits(w): w for w in a.worlds}
-    bmap = {b.world_bits(w): w for w in b.worlds}
-    if amap.keys() != bmap.keys() or len(amap) != len(a.worlds):
-        return False
-    sigma = {amap[bits]: bmap[bits] for bits in amap}
-    for oa, ob in ((a.plausibility, b.plausibility),
-                   (a.desirability, b.desirability)):
-        for w in a.worlds:
-            for u in a.worlds:
-                if oa.le(w, u) != ob.le(sigma[w], sigma[u]):
-                    return False
-    return md.intentions_of(a) == md.intentions_of(b)
-
-
-def sweep_preservation(rng, count, atoms):
+def sweep_preservation(rng, count, n_atoms):
     bad = 0
     for _ in range(count):
-        m = random_model(rng, atoms)
-        phi = random_prop(rng, atoms)
-        lib = random_library(rng, atoms)
+        m = gen.random_model(rng, n_atoms, min_worlds=2)
+        phi = gen.random_prop(rng, m.atoms)
+        lib = gen.random_library(rng, m.atoms)
         outputs = [dynamics.announce(m, phi)]
         for tag in ("P", "D"):
             outputs.append(dynamics.upgrade(m, tag, phi))
@@ -123,13 +46,13 @@ def sweep_preservation(rng, count, atoms):
     return bad
 
 
-def sweep_commutation(rng, count, atoms):
+def sweep_commutation(rng, count, n_atoms):
     bad = 0
     for _ in range(count):
-        ag = random_program(rng, atoms)
-        lib = random_library(rng, atoms)
+        ag = gen.random_program(rng, n_atoms)
+        lib = gen.random_library(rng, ag.atoms)
         base = pg.induce_program(ag, lib, check_intentions=False)
-        phi = random_prop(rng, atoms)
+        phi = gen.random_prop(rng, ag.atoms)
         if md.satisfying_worlds(phi, base.worlds, base.valuation):
             side = pg.induce_program(dynamics.graph_announce(ag, phi), lib,
                                      check_intentions=False)
@@ -152,19 +75,13 @@ def sweep_commutation(rng, count, atoms):
     return bad
 
 
-def sweep_plan_goal(rng, count, atoms):
+def sweep_plan_goal(rng, count, n_atoms):
     bad = adopted = 0
     for _ in range(count):
-        m = random_model(rng, atoms)
-        lib = random_library(rng, atoms)
-        chosen = frozenset(
-            n for n in sorted(lib.plans)
-            if checker.holds(m, lib, fm.Bel(lib.plans[n].pre, fm.Top()))
-            and checker.holds(m, lib, fm.AdmInt(lib.plans[n].post, fm.Top()))
-            and rng.random() < 0.8
-        )
-        m = dataclasses.replace(m, intentions=chosen)
-        adopted += len(chosen)
+        m = gen.random_model(rng, n_atoms, min_worlds=2)
+        lib = gen.random_library(rng, m.atoms)
+        m = gen.adopt_admissible_intentions(rng, m, lib)
+        adopted += len(m.intentions)
         bad += checker.check_proposition1(m, lib) is not None
     return bad, adopted
 
@@ -175,17 +92,16 @@ def main():
     ap.add_argument("--atoms", type=int, default=2, choices=(1, 2, 3, 4))
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    atoms = ATOM_POOL[: args.atoms]
     rng = random.Random(args.seed)
 
     violations = 0
-    bad = sweep_preservation(rng, args.count, atoms)
+    bad = sweep_preservation(rng, args.count, args.atoms)
     print(f"preorder preservation : {args.count} models, {bad} violations")
     violations += bad
-    bad = sweep_commutation(rng, args.count, atoms)
+    bad = sweep_commutation(rng, args.count, args.atoms)
     print(f"graph/model commutation: {args.count} programs, {bad} violations")
     violations += bad
-    bad, adopted = sweep_plan_goal(rng, args.count, atoms)
+    bad, adopted = sweep_plan_goal(rng, args.count, args.atoms)
     print(f"plan/goal connection   : {args.count} models, "
           f"{adopted} adopted plans, {bad} violations")
     violations += bad

@@ -13,24 +13,23 @@ from .formulas import (
     ParseError, desugar, is_propositional, parse, render,
 )
 from .models import (
-    AgentModel, ModelError, PracticalAgentModel, Preorder,
+    AgentModel, ModelError, Preorder,
     Violation, dump_model, load_model, satisfying_worlds,
 )
 from .plans import (
-    ConsistencyFailure, Plan, PlanLibrary, check_p_consistency, dump_library,
+    Plan, PlanFailure, PlanLibrary, check_p_consistency, dump_library,
     load_library, make_plan,
 )
 from .pgraph import (
-    AgentProgram, AgentStructure, PriorityGraph, ProgramError, dump_program,
-    extract_graph, extract_structure, induce_program, induced_order,
-    load_program, make_graph,
+    AgentProgram, PriorityGraph, ProgramError, dump_program, extract_graph,
+    induce_program, induced_order, load_program, make_graph,
 )
 from .dynamics import (
     MentalOp, announce, contract, filter_intentions, graph_announce,
     graph_contract, graph_upgrade, product_update, revise_drop, upgrade,
 )
 from .checker import (
-    EmptyModelError, Prop1Failure, check_proposition1, extension, holds,
+    EmptyModelError, check_proposition1, extension, holds,
 )
 
 __version__ = "0.1.0"

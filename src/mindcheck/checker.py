@@ -10,7 +10,6 @@ the modality vacuously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import dynamics as dy
@@ -24,10 +23,6 @@ class CheckError(Exception):
 
 
 class EmptyModelError(CheckError):
-    pass
-
-
-class UnknownPlanError(CheckError):
     pass
 
 
@@ -92,10 +87,7 @@ class _Evaluator:
         if isinstance(f, fm.PlanMod):
             return self._plan_step(f)
         if isinstance(f, fm.Intends):
-            if f.plan not in self.lib.plans:
-                raise UnknownPlanError(f"unknown plan symbol {f.plan!r}")
-            intended = f.plan in md.intentions_of(m)
-            return m.worlds if intended else frozenset()
+            return m.worlds if f.plan in m.intentions else frozenset()
         raise CheckError(f"cannot evaluate {f!r}")
 
     def _dynamic(self, f: fm.DynMod) -> frozenset[md.WorldId]:
@@ -122,27 +114,12 @@ class _Evaluator:
         return (m.worlds - executable) | extension(transformed, self.lib, f.body)
 
 
-@dataclass(frozen=True)
-class Prop1Failure:
-    plan: str
-    reason: str  # "precondition-not-believed" | "postcondition-not-intended"
-
-    def __str__(self):
-        return f"plan {self.plan!r}: {self.reason}"
-
-
-def check_proposition1(m: md.PracticalAgentModel,
-                       lib: pl.PlanLibrary) -> Optional[Prop1Failure]:
+def check_proposition1(m: md.AgentModel,
+                       lib: pl.PlanLibrary) -> Optional[pl.PlanFailure]:
     """Adopted plans must be believed executable and their goals intended.
 
     Returns the first plan whose precondition is not believed or whose
     post-condition is not an intention proper, or None when the connection
     between plans-as-intentions and intentions-to-be is intact.
     """
-    for symbol in sorted(md.intentions_of(m)):
-        plan = lib.get(symbol)
-        if not holds(m, lib, fm.Bel(plan.pre, fm.Top())):
-            return Prop1Failure(symbol, "precondition-not-believed")
-        if not holds(m, lib, fm.Int(plan.post, fm.Top())):
-            return Prop1Failure(symbol, "postcondition-not-intended")
-    return None
+    return pl.first_plan_failure(m, lib, fm.Int)

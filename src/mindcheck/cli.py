@@ -53,10 +53,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except CliError as exc:
-        _emit_error(args, exc.reason, exc.detail)
-        return 2
-    except pg.ProgramError as exc:
+    except (CliError, pg.ProgramError) as exc:
         _emit_error(args, exc.reason, exc.detail)
         return 2
     except _ENGINE_ERRORS as exc:
@@ -77,7 +74,6 @@ def _reason_of(exc) -> str:
         pl.LibraryError: "library-error",
         pg.GraphError: "graph-error",
         checker.EmptyModelError: "empty-model",
-        checker.UnknownPlanError: "unknown-plan",
         checker.CheckError: "check-error",
     }.get(type(exc), "error")
 
@@ -152,7 +148,7 @@ def _load_library(args) -> pl.PlanLibrary:
     return pl.EMPTY_LIBRARY
 
 
-def _load_model(args, lib: pl.PlanLibrary) -> md.PracticalAgentModel:
+def _load_model(args, lib: pl.PlanLibrary) -> md.AgentModel:
     has_program = getattr(args, "program", None)
     has_model = getattr(args, "model", None)
     if bool(has_program) == bool(has_model):
@@ -320,10 +316,10 @@ def _prop(text: str) -> fm.Formula:
     return f
 
 
-def _step_report(index: int, line: str, m: md.PracticalAgentModel,
+def _step_report(index: int, line: str, m: md.AgentModel,
                  lib: pl.PlanLibrary) -> dict:
     if m.worlds:
-        failure = pl.check_p_consistency(m, lib, md.intentions_of(m))
+        failure = pl.check_p_consistency(m, lib)
         consistent: Optional[bool] = failure is None
         min_p = sorted(m.plausibility.min_set(m.worlds))
         min_d = sorted(m.desirability.min_set(m.worlds))
@@ -334,12 +330,12 @@ def _step_report(index: int, line: str, m: md.PracticalAgentModel,
     return {
         "index": index, "op": line, "worlds": len(m.worlds),
         "min_P": min_p, "min_D": min_d,
-        "intentions": sorted(md.intentions_of(m)),
+        "intentions": sorted(m.intentions),
         "p_consistent": consistent,
     }
 
 
-def _print_step(report: dict, m: md.PracticalAgentModel) -> None:
+def _print_step(report: dict, m: md.AgentModel) -> None:
     def label(ws):
         return " ".join(f"{w}({m.world_bits(w)})" for w in ws) or "-"
 
@@ -424,10 +420,9 @@ def cmd_induce(args) -> int:
 
 def cmd_extract(args) -> int:
     m = md.load_model(_read_json(args.model))
-    structure = pg.extract_structure(m)
     doc = {
-        "plausibility": pg.dump_graph(structure.plausibility_graph),
-        "desirability": pg.dump_graph(structure.desirability_graph),
+        "plausibility": pg.dump_graph(pg.extract_graph(m, "P")),
+        "desirability": pg.dump_graph(pg.extract_graph(m, "D")),
     }
     if args.json:
         doc = {"schema": SCHEMA, "command": "extract", **doc}
@@ -441,7 +436,7 @@ def cmd_extract(args) -> int:
 def cmd_check(args) -> int:
     lib = _load_library(args)
     m = _load_model(args, lib)
-    p_failure = pl.check_p_consistency(m, lib, md.intentions_of(m))
+    p_failure = pl.check_p_consistency(m, lib)
     prop1_failure = None
     if p_failure is None:
         prop1_failure = checker.check_proposition1(m, lib)

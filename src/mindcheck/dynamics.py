@@ -182,21 +182,15 @@ def graph_contract(ag: pg.AgentProgram, target: str, phi: fm.Formula,
     return dataclasses.replace(ag, desires=new_graph)
 
 
-def filter_intentions(m: md.PracticalAgentModel,
-                      lib: pl.PlanLibrary) -> md.PracticalAgentModel:
+def filter_intentions(m: md.AgentModel, lib: pl.PlanLibrary) -> md.AgentModel:
     """Drop every adopted plan that lost P-consistency.
 
     Keeps exactly the plans whose precondition is believed and whose
     post-condition is still an admissible intention, so the result is
     P-consistent by construction.
     """
-    from . import checker
-
-    kept = frozenset(
-        symbol for symbol in md.intentions_of(m)
-        if checker.holds(m, lib, fm.Bel(lib.get(symbol).pre, fm.Top()))
-        and checker.holds(m, lib, fm.AdmInt(lib.get(symbol).post, fm.Top()))
-    )
+    kept = frozenset(symbol for symbol in m.intentions
+                     if pl.plan_failure(m, lib, symbol) is None)
     return dataclasses.replace(m, intentions=kept)
 
 

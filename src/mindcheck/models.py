@@ -318,13 +318,21 @@ Valuation = Mapping[str, frozenset[WorldId]]
 
 @dataclass(frozen=True)
 class AgentModel:
-    """One world set with a plausibility and a desirability preorder."""
+    """One world set with a plausibility and a desirability preorder, plus
+    the set of adopted plans.
+
+    P-consistency of the intention set is enforced where models are built
+    from programs and restored by filter_intentions; dynamic operations may
+    leave it temporarily violated (dropping intentions is a policy choice,
+    never implicit).
+    """
 
     atoms: tuple[str, ...]
     worlds: frozenset[WorldId]
     plausibility: Preorder
     desirability: Preorder
     valuation: Valuation
+    intentions: frozenset[str] = frozenset()
 
     def order(self, tag: str) -> Preorder:
         if tag == "P":
@@ -361,23 +369,6 @@ class AgentModel:
         )
 
 
-@dataclass(frozen=True)
-class PracticalAgentModel(AgentModel):
-    """Agent model plus the set of adopted plans.
-
-    P-consistency of the intention set is enforced where models are built
-    from programs and restored by filter_intentions; dynamic operations may
-    leave it temporarily violated (dropping intentions is a policy choice,
-    never implicit).
-    """
-
-    intentions: frozenset[str] = frozenset()
-
-
-def intentions_of(m: AgentModel) -> frozenset[str]:
-    return m.intentions if isinstance(m, PracticalAgentModel) else frozenset()
-
-
 def satisfying_worlds(f: "fm.Formula", worlds: frozenset[WorldId],
                       valuation: Valuation) -> frozenset[WorldId]:
     """Worlds satisfying a propositional formula."""
@@ -406,7 +397,7 @@ def satisfying_worlds(f: "fm.Formula", worlds: frozenset[WorldId],
 # ---------------------------------------------------------------------------
 # Model documents (JSON-shaped dicts)
 
-def load_model(doc: dict) -> PracticalAgentModel:
+def load_model(doc: dict) -> AgentModel:
     """Build a model from a document.
 
     Expected fields: atoms, worlds (id + true_atoms), plausibility and
@@ -450,7 +441,7 @@ def load_model(doc: dict) -> PracticalAgentModel:
     plaus = Preorder.from_pairs(wset, _checked_pairs(p_pairs, "plausibility"))
     des = Preorder.from_pairs(wset, _checked_pairs(d_pairs, "desirability"))
     intentions = frozenset(_names(doc.get("intentions", []), "intentions"))
-    return PracticalAgentModel(atoms, wset, plaus, des, val, intentions)
+    return AgentModel(atoms, wset, plaus, des, val, intentions)
 
 
 def _names(value, field: str) -> list:
@@ -497,5 +488,5 @@ def dump_model(m: AgentModel) -> dict:
         ],
         "plausibility": m.plausibility.reduction_pairs(),
         "desirability": m.desirability.reduction_pairs(),
-        "intentions": sorted(intentions_of(m)),
+        "intentions": sorted(m.intentions),
     }

@@ -215,19 +215,7 @@ def _shannon(a, not_a, lo, hi) -> fm.Formula:
 
 
 # ---------------------------------------------------------------------------
-# Agent structures and programs
-
-@dataclass(frozen=True)
-class AgentStructure:
-    """Syntactic counterpart of an agent model: one graph per order."""
-
-    plausibility_graph: PriorityGraph
-    desirability_graph: PriorityGraph
-
-
-def extract_structure(m: md.AgentModel) -> AgentStructure:
-    return AgentStructure(extract_graph(m, "P"), extract_graph(m, "D"))
-
+# Agent programs
 
 @dataclass(frozen=True)
 class AgentProgram:
@@ -268,8 +256,8 @@ def program_valuation(atoms: tuple[str, ...],
 
 
 def induce_program(ag: AgentProgram, lib: pl.PlanLibrary,
-                   check_intentions: bool = True) -> md.PracticalAgentModel:
-    """The practical agent model an agent program stands for.
+                   check_intentions: bool = True) -> md.AgentModel:
+    """The agent model an agent program stands for.
 
     Worlds are the knowledge-consistent valuations; each order is induced
     lexicographically from its graph; the intention set must be P-consistent
@@ -286,10 +274,10 @@ def induce_program(ag: AgentProgram, lib: pl.PlanLibrary,
     for symbol in sorted(ag.intentions):
         if symbol not in lib.plans:
             raise ProgramError("unknown-plan", symbol)
-    m = md.PracticalAgentModel(ag.atoms, worlds, plaus, des, valuation,
-                               frozenset(ag.intentions))
+    m = md.AgentModel(ag.atoms, worlds, plaus, des, valuation,
+                      frozenset(ag.intentions))
     if check_intentions:
-        failure = pl.check_p_consistency(m, lib, m.intentions)
+        failure = pl.check_p_consistency(m, lib)
         if failure is not None:
             raise ProgramError("p-inconsistent-intentions", str(failure))
     return m

@@ -13,7 +13,7 @@ from . import formulas as fm
 
 
 class LibraryError(Exception):
-    pass
+    """A malformed plan library document."""
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class PlanLibrary:
         try:
             return self.plans[symbol]
         except KeyError:
-            raise LibraryError(f"unknown plan symbol {symbol!r}") from None
+            raise fm.UnknownPlanError(f"unknown plan symbol {symbol!r}") from None
 
 
 EMPTY_LIBRARY = PlanLibrary({})
@@ -114,28 +114,53 @@ def dump_library(lib: PlanLibrary) -> dict:
 
 
 @dataclass(frozen=True)
-class ConsistencyFailure:
-    """Names the plan and the conjunct that broke P-consistency."""
+class PlanFailure:
+    """Names the adopted plan and the condition it broke."""
 
     plan: str
-    reason: str  # "precondition-not-believed" | "postcondition-not-admissible"
+    reason: str  # precondition-not-believed | postcondition-not-admissible
+    #              | postcondition-not-intended
 
     def __str__(self):
         return f"plan {self.plan!r}: {self.reason}"
 
 
-def check_p_consistency(m, lib: PlanLibrary, intentions) -> Optional[ConsistencyFailure]:
-    """First plan in the intention set violating P-consistency, if any.
+_POST_FAILURE = {fm.AdmInt: "postcondition-not-admissible",
+                 fm.Int: "postcondition-not-intended"}
+
+
+def plan_failure(m, lib: PlanLibrary, symbol: str,
+                 post=fm.AdmInt) -> Optional[str]:
+    """Why an adopted plan breaks its condition on m, or None.
+
+    The precondition must be believed and the post-condition must hold
+    under the post attitude: AdmInt for P-consistency, Int for the
+    plan/goal connection (Proposition 1).
+    """
+    from . import checker  # the evaluator imports this module
+
+    plan = lib.get(symbol)
+    if not checker.holds(m, lib, fm.Bel(plan.pre, fm.Top())):
+        return "precondition-not-believed"
+    if not checker.holds(m, lib, post(plan.post, fm.Top())):
+        return _POST_FAILURE[post]
+    return None
+
+
+def first_plan_failure(m, lib: PlanLibrary, post) -> Optional[PlanFailure]:
+    """The first of m's intentions, in symbol order, that plan_failure
+    rejects under the post attitude."""
+    for symbol in sorted(m.intentions):
+        reason = plan_failure(m, lib, symbol, post)
+        if reason is not None:
+            return PlanFailure(symbol, reason)
+    return None
+
+
+def check_p_consistency(m, lib: PlanLibrary) -> Optional[PlanFailure]:
+    """First adopted plan violating P-consistency, if any.
 
     Each adopted plan must have a believed precondition and an admissible
-    post-condition on the given model.
+    post-condition on m.
     """
-    from . import checker
-
-    for symbol in sorted(intentions):
-        plan = lib.get(symbol)
-        if not checker.holds(m, lib, fm.Bel(plan.pre, fm.Top())):
-            return ConsistencyFailure(symbol, "precondition-not-believed")
-        if not checker.holds(m, lib, fm.AdmInt(plan.post, fm.Top())):
-            return ConsistencyFailure(symbol, "postcondition-not-admissible")
-    return None
+    return first_plan_failure(m, lib, fm.AdmInt)

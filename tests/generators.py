@@ -3,14 +3,19 @@
 The hypothesis strategies drive shrinking-friendly property tests; these
 generators drive the counted acceptance sweeps and the stress script, where
 an exact number of deterministic instances matters more than shrinking.
+models_isomorphic compares the models those sweeps build two ways.
 """
 
+import dataclasses
 import random
 
+from mindcheck import dynamics
 from mindcheck import formulas as fm
 from mindcheck import models as md
 from mindcheck import pgraph as pg
 from mindcheck import plans as pl
+
+ATOMS = ("p", "q", "r", "s")
 
 
 def random_prop(rng: random.Random, atoms, depth=2) -> fm.Formula:
@@ -56,9 +61,9 @@ def _mixed_order(rng: random.Random, worlds) -> md.Preorder:
 
 
 def random_model(rng: random.Random, n_atoms=2, min_worlds=1,
-                 intentions=frozenset()) -> md.PracticalAgentModel:
+                 intentions=frozenset()) -> md.AgentModel:
     """Worlds are a nonempty sample of valuation masks over the atom set."""
-    atoms = ("p", "q", "r")[:n_atoms]
+    atoms = ATOMS[:n_atoms]
     universe = range(2 ** n_atoms)
     worlds = frozenset(rng.sample(
         list(universe), k=rng.randint(min_worlds, 2 ** n_atoms)))
@@ -66,7 +71,7 @@ def random_model(rng: random.Random, n_atoms=2, min_worlds=1,
         a: frozenset(w for w in worlds if w >> i & 1)
         for i, a in enumerate(atoms)
     }
-    return md.PracticalAgentModel(
+    return md.AgentModel(
         atoms, worlds, _mixed_order(rng, worlds),
         _mixed_order(rng, worlds), valuation, frozenset(intentions))
 
@@ -74,7 +79,7 @@ def random_model(rng: random.Random, n_atoms=2, min_worlds=1,
 def random_injective_model(rng: random.Random, max_worlds=5) -> md.AgentModel:
     """Random plausibility preorder over worlds with pairwise distinct
     valuations; desirability is the identity."""
-    atoms = ("p", "q", "r")
+    atoms = ATOMS[:3]
     ids = rng.sample(range(8), k=rng.randint(1, max_worlds))
     worlds = frozenset(ids)
     valuation = {
@@ -113,7 +118,7 @@ def random_library(rng: random.Random, atoms) -> pl.PlanLibrary:
 def random_program(rng: random.Random, n_atoms=2,
                    max_knowledge=1) -> pg.AgentProgram:
     """A consistent-knowledge program with empty intentions."""
-    atoms = ("p", "q", "r")[:n_atoms]
+    atoms = ATOMS[:n_atoms]
     while True:
         knowledge = tuple(
             random_prop(rng, atoms, depth=1)
@@ -128,13 +133,27 @@ def random_program(rng: random.Random, n_atoms=2,
 
 def adopt_admissible_intentions(rng: random.Random, m, lib):
     """A random P-consistent intention set for m, possibly empty."""
-    from mindcheck import checker
+    every_plan = dataclasses.replace(m, intentions=frozenset(lib.plans))
+    admissible = dynamics.filter_intentions(every_plan, lib).intentions
+    chosen = frozenset(n for n in sorted(admissible) if rng.random() < 0.8)
+    return dataclasses.replace(m, intentions=chosen)
 
-    admissible = [
-        name for name in sorted(lib.plans)
-        if checker.holds(m, lib, fm.Bel(lib.plans[name].pre, fm.Top()))
-        and checker.holds(m, lib, fm.AdmInt(lib.plans[name].post, fm.Top()))
-    ]
-    chosen = frozenset(n for n in admissible if rng.random() < 0.8)
-    return md.PracticalAgentModel(
-        m.atoms, m.worlds, m.plausibility, m.desirability, m.valuation, chosen)
+
+def models_isomorphic(a: md.AgentModel, b: md.AgentModel) -> bool:
+    """Valuation-keyed bijection preserving both orders and intentions."""
+    if a.atoms != b.atoms:
+        return False
+    amap = {a.world_bits(w): w for w in a.worlds}
+    bmap = {b.world_bits(w): w for w in b.worlds}
+    if len(amap) != len(a.worlds) or len(bmap) != len(b.worlds):
+        return False  # not injective, bijection by valuation undefined
+    if amap.keys() != bmap.keys():
+        return False
+    sigma = {amap[bits]: bmap[bits] for bits in amap}
+    for order_a, order_b in ((a.plausibility, b.plausibility),
+                             (a.desirability, b.desirability)):
+        for w in a.worlds:
+            for u in a.worlds:
+                if order_a.le(w, u) != order_b.le(sigma[w], sigma[u]):
+                    return False
+    return a.intentions == b.intentions

@@ -2,8 +2,25 @@
 
 Everything here works on plain frozensets of pairs and dict valuations,
 applying the defining conditions by exhaustive enumeration; none of it
-shares code with the package's bit-row machinery.
+shares code with the package's bit-row machinery or its evaluator.
 """
+
+
+def holds_at(f, true_atoms) -> bool:
+    """Truth of a propositional formula tree where exactly true_atoms hold.
+
+    The tree is read by node class name and fields only.
+    """
+    kind = type(f).__name__
+    if kind == "Atom":
+        return f.name in true_atoms
+    if kind in ("Top", "Bottom"):
+        return kind == "Top"
+    if kind == "Not":
+        return not holds_at(f.child, true_atoms)
+    left, right = holds_at(f.left, true_atoms), holds_at(f.right, true_atoms)
+    return {"And": left and right, "Or": left or right,
+            "Implies": not left or right}[kind]
 
 
 def closure(worlds, pairs):
@@ -29,6 +46,24 @@ def min_of(pairs, subset):
     return frozenset(
         w for w in subset if not any((u, w) in st for u in subset)
     )
+
+
+def settles(pairs, worlds, sat) -> bool:
+    """Every minimal world of the order lies in sat: B(x|T) read on the
+    plausibility pairs, G(x|T) on the desirability pairs."""
+    return min_of(pairs, worlds) <= sat
+
+
+def admissible(plaus, des, worlds, sat) -> bool:
+    """AdmInt(x|T): x is desired, possible and not already believed."""
+    return (settles(des, worlds, sat) and bool(sat)
+            and not settles(plaus, worlds, sat))
+
+
+def p_consistent(plaus, des, worlds, pre_sat, post_sat) -> bool:
+    """An adopted plan's condition: believed pre, admissible post."""
+    return (settles(plaus, worlds, pre_sat)
+            and admissible(plaus, des, worlds, post_sat))
 
 
 def induced(worlds, node_exts, prec_pairs):

@@ -90,7 +90,7 @@ def agent_models(draw, names=ATOMS, min_worlds=1):
     }
     plaus = draw(_orders_on(worlds))
     des = draw(_orders_on(worlds))
-    return md.PracticalAgentModel(atom_names, worlds, plaus, des, valuation)
+    return md.AgentModel(atom_names, worlds, plaus, des, valuation)
 
 
 def _orders_on(worlds):

@@ -23,7 +23,7 @@ from mindcheck import plans as pl
 import generators
 import oracles
 from common import LIBRARY_DOC, PROGRAM_DOC
-from test_dynamics import models_isomorphic
+from generators import models_isomorphic
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 FINDINGS = pathlib.Path(__file__).parent / "findings"
@@ -223,28 +223,26 @@ def oracle_running_example() -> dict[str, bool]:
     plaus = oracles.induced(worlds, [sat["q"]], [])
     des = oracles.induced(worlds, [sat["p"], sat["q"]], [(0, 1)])
 
-    def believes(consequent_sat):
-        return oracles.min_of(plaus, worlds) <= consequent_sat
-
-    def desires(consequent_sat):
-        return oracles.min_of(des, worlds) <= consequent_sat
+    def believes(x):
+        return oracles.settles(plaus, worlds, sat[x])
 
     def admissible(x):
-        return desires(sat[x]) and sat[x] and not believes(sat[x])
+        return oracles.admissible(plaus, des, worlds, sat[x])
 
     # the one plan: pre T, post p; executing it makes p true everywhere
     after_update = oracles.product_update_valuation(
         worlds, {"p": sat["p"], "q": sat["q"]}, worlds, {"p": True})
     achieves_p = frozenset(
         w for w in worlds if w in after_update["p"])  # [alpha]p per world
-    intends_p = bool(admissible("p")) and believes(sat["T"] & achieves_p)
+    intends_p = (admissible("p")
+                 and oracles.settles(plaus, worlds, sat["T"] & achieves_p))
 
     return {
-        "B(q|T)": believes(sat["q"]),
-        "B(p|T)": believes(sat["p"]),
-        "G(p)": desires(sat["p"]),
-        "AdmInt(p)": bool(admissible("p")),
-        "AdmInt(q)": bool(admissible("q")),
+        "B(q|T)": believes("q"),
+        "B(p|T)": believes("p"),
+        "G(p)": oracles.settles(des, worlds, sat["p"]),
+        "AdmInt(p)": admissible("p"),
+        "AdmInt(q)": admissible("q"),
         "Int(p)": intends_p,
     }
 
@@ -314,6 +312,10 @@ EXIT_CODE_MATRIX = [
       "--library", "running_library.json"), 0),
     (("check", "--model", "inconsistent_model.json",
       "--library", "sensing_library.json", "--json"), 1),
+    (("trace", "--program", "running_program.json",
+      "--library", "running_library.json", "--script", "ghost.script"), 2),
+    (("check", "--model", "ghost_intentions_model.json",
+      "--library", "running_library.json"), 2),
     (("eval", "--model", "short_pair_model.json", "--formula", "p"), 2),
     (("eval", "--model", "string_atoms_model.json", "--formula", "p"), 2),
     (("eval", "--model", "bare_world_model.json", "--formula", "p"), 2),

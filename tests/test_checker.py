@@ -30,7 +30,7 @@ class TestBasics:
 
     def test_one_world_universal(self):
         worlds = frozenset({1})
-        m = md.PracticalAgentModel(
+        m = md.AgentModel(
             ("p",), worlds, md.Preorder.identity(worlds),
             md.Preorder.identity(worlds), {"p": frozenset({1})})
         assert holds(m, "A p")
@@ -45,7 +45,7 @@ class TestBasics:
             ext(running_model(), "z")
 
     def test_unknown_plan(self):
-        with pytest.raises((checker.UnknownPlanError, fm.UnknownPlanError)):
+        with pytest.raises(fm.UnknownPlanError):
             ext(running_model(), "I(ghost)", running_library())
 
 
@@ -190,7 +190,7 @@ class TestProposition1:
 
     def test_no_intentions_vacuously_ok(self):
         m = running_model()
-        m = md.PracticalAgentModel(
+        m = md.AgentModel(
             m.atoms, m.worlds, m.plausibility, m.desirability, m.valuation,
             frozenset())
         assert checker.check_proposition1(m, running_library()) is None
@@ -201,7 +201,7 @@ class TestProposition1:
         lib = pl.load_library(
             {"plans": [{"name": "alpha", "pre": "~q", "post": "p"}]})
         m = running_model()
-        m = md.PracticalAgentModel(
+        m = md.AgentModel(
             m.atoms, m.worlds, m.plausibility, m.desirability, m.valuation,
             frozenset({"alpha"}))
         failure = checker.check_proposition1(m, lib)

@@ -113,6 +113,15 @@ class TestTrace:
         assert "script-error" in err
         assert "line 1" in err
 
+    def test_update_with_unknown_plan_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, "trace", "--program", fx("running_program.json"),
+            "--library", fx("running_library.json"),
+            "--script", fx("ghost.script"))
+        assert (code, out) == (2, "")
+        assert err == ("error: unknown-plan: step 1 (line 2): "
+                       "unknown plan symbol 'ghost'\n")
+
     def test_out_writes_final_model(self, capsys, tmp_path):
         out_path = tmp_path / "final.json"
         code, _, _ = run(
@@ -228,6 +237,19 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["ok"] is False
         assert doc["p_consistency"]["plan"] == "grab_q"
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_unknown_intention_exits_two(self, capsys, json_flag):
+        code, out, err = run(
+            capsys, "check", "--model", fx("ghost_intentions_model.json"),
+            "--library", fx("running_library.json"), *json_flag)
+        assert (code, out) == (2, "")
+        if json_flag:
+            assert json.loads(err)["error"] == {
+                "reason": "unknown-plan",
+                "detail": "unknown plan symbol 'ghost'"}
+        else:
+            assert err == "error: unknown-plan: unknown plan symbol 'ghost'\n"
 
 
 class TestDeterminism:
@@ -401,9 +423,8 @@ class TestNineAtomExtract:
         doc = json.loads(out)
         m = md.load_model(json.loads(model.read_text()))
         assert len(m.worlds) == 512
-        structure = pg.extract_structure(m)
-        for graph, tag in ((structure.plausibility_graph, "plausibility"),
-                           (structure.desirability_graph, "desirability")):
+        for graph, tag in ((pg.extract_graph(m, "P"), "plausibility"),
+                           (pg.extract_graph(m, "D"), "desirability")):
             assert len(doc[tag]["nodes"]) == len(graph.nodes)
             assert doc[tag]["edges"] == []
             induced = pg.induced_order(graph, m.worlds, m.valuation)

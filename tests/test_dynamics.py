@@ -13,6 +13,7 @@ import generators
 import oracles
 import strategies as gen
 from common import running_library, running_model, running_program
+from generators import models_isomorphic
 
 P, Q = fm.Atom("p"), fm.Atom("q")
 TOP, BOT = fm.Top(), fm.Bottom()
@@ -25,34 +26,14 @@ def chain_model():
     pairs = [(ids[i], ids[j]) for i in range(4) for j in range(i, 4)]
     chain = md.Preorder.from_pairs(worlds, pairs, close=False)
     valuation = {"p": frozenset({1, 3}), "q": frozenset({2, 3})}
-    return md.PracticalAgentModel(("p", "q"), worlds, chain, chain, valuation)
+    return md.AgentModel(("p", "q"), worlds, chain, chain, valuation)
 
 
 def identity_model():
     worlds = frozenset(range(4))
     ident = md.Preorder.identity(worlds)
     valuation = {"p": frozenset({1, 3}), "q": frozenset({2, 3})}
-    return md.PracticalAgentModel(("p", "q"), worlds, ident, ident, valuation)
-
-
-def models_isomorphic(a: md.AgentModel, b: md.AgentModel) -> bool:
-    """Valuation-keyed bijection preserving both orders and intentions."""
-    if a.atoms != b.atoms:
-        return False
-    amap = {a.world_bits(w): w for w in a.worlds}
-    bmap = {b.world_bits(w): w for w in b.worlds}
-    if len(amap) != len(a.worlds) or len(bmap) != len(b.worlds):
-        return False  # not injective, bijection by valuation undefined
-    if amap.keys() != bmap.keys():
-        return False
-    sigma = {amap[bits]: bmap[bits] for bits in amap}
-    for order_a, order_b in ((a.plausibility, b.plausibility),
-                             (a.desirability, b.desirability)):
-        for w in a.worlds:
-            for u in a.worlds:
-                if order_a.le(w, u) != order_b.le(sigma[w], sigma[u]):
-                    return False
-    return md.intentions_of(a) == md.intentions_of(b)
+    return md.AgentModel(("p", "q"), worlds, ident, ident, valuation)
 
 
 class TestAnnounce:
@@ -200,13 +181,13 @@ class TestProductUpdate:
         assert got.worlds == frozenset()
 
     def test_unknown_plan(self):
-        with pytest.raises(pl.LibraryError):
+        with pytest.raises(fm.UnknownPlanError):
             dynamics.product_update(identity_model(), running_library(), "ghost")
 
     def test_intentions_carried_over(self):
         m = running_model()
         got = dynamics.product_update(m, running_library(), "alpha")
-        assert md.intentions_of(got) == frozenset({"alpha"})
+        assert got.intentions == frozenset({"alpha"})
 
     @settings(max_examples=100)
     @given(gen.agent_models())
@@ -313,7 +294,7 @@ class TestGraphUpgrade:
         induced = pg.induced_order(g, worlds, valuation)
         total = md.Preorder.total(worlds)
         upgraded = dynamics.upgrade(
-            md.PracticalAgentModel(("p", "q"), worlds, total, total, valuation),
+            md.AgentModel(("p", "q"), worlds, total, total, valuation),
             "P", Q)
         assert induced == upgraded.plausibility
 
@@ -324,7 +305,7 @@ class TestGraphUpgrade:
         assert g.nodes[0] == fm.Not(P)
         assert g.outranks(fm.Not(P), P) and g.outranks(fm.Not(P), Q)
         induced = pg.induced_order(g, worlds, valuation)
-        m = md.PracticalAgentModel(
+        m = md.AgentModel(
             ("p", "q"), worlds, pg.induced_order(base, worlds, valuation),
             md.Preorder.total(worlds), valuation)
         assert induced == dynamics.upgrade(m, "P", fm.Not(P)).plausibility
@@ -345,8 +326,7 @@ class TestGraphUpgrade:
         induced_after = pg.induced_order(
             dynamics.graph_upgrade(g, phi), worlds, valuation)
         before = pg.induced_order(g, worlds, valuation)
-        m = md.PracticalAgentModel(("p", "q"), worlds, before, before,
-                                   valuation)
+        m = md.AgentModel(("p", "q"), worlds, before, before, valuation)
         assert induced_after == dynamics.upgrade(m, "P", phi).plausibility
 
 
@@ -393,8 +373,8 @@ class TestFilterIntentions:
         # announcing the post-condition makes it believed, hence inadmissible
         announced = dynamics.announce(m, P)
         got = dynamics.filter_intentions(announced, lib)
-        assert md.intentions_of(got) == frozenset()
-        assert pl.check_p_consistency(got, lib, got.intentions) is None
+        assert got.intentions == frozenset()
+        assert pl.check_p_consistency(got, lib) is None
 
     def test_empty_model_propagates_checker_error(self):
         m = running_model().restrict(frozenset())

@@ -23,7 +23,7 @@ def full_two_atom_model():
     worlds = frozenset(range(4))
     valuation = {"p": frozenset({1, 3}), "q": frozenset({2, 3})}
     ident = md.Preorder.identity(worlds)
-    return md.PracticalAgentModel(("p", "q"), worlds, ident, ident, valuation)
+    return md.AgentModel(("p", "q"), worlds, ident, ident, valuation)
 
 
 class TestStrictPart:
@@ -286,7 +286,7 @@ def sparse_models(draw):
                             max_size=3 * len(ids)))
     valuation = {a: frozenset(draw(st.sets(st.sampled_from(ids))))
                  for a in ("p", "q", "r")}
-    return md.PracticalAgentModel(
+    return md.AgentModel(
         ("p", "q", "r"), worlds, md.Preorder.from_pairs(worlds, p_pairs),
         md.Preorder.from_pairs(worlds, d_pairs), valuation)
 

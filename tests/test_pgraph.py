@@ -22,19 +22,6 @@ def two_atom_world_set():
     return worlds, valuation
 
 
-def holds_at(f, true_atoms) -> bool:
-    """Truth of a propositional formula where exactly true_atoms hold."""
-    if isinstance(f, fm.Atom):
-        return f.name in true_atoms
-    if isinstance(f, (fm.Top, fm.Bottom)):
-        return isinstance(f, fm.Top)
-    if isinstance(f, fm.Not):
-        return not holds_at(f.child, true_atoms)
-    left, right = holds_at(f.left, true_atoms), holds_at(f.right, true_atoms)
-    return {fm.And: left and right, fm.Or: left or right,
-            fm.Implies: not left or right}[type(f)]
-
-
 def nesting_depth(f) -> int:
     children = [getattr(f, k) for k in ("child", "left", "right") if hasattr(f, k)]
     return 1 + max(map(nesting_depth, children), default=0)
@@ -185,7 +172,7 @@ class TestExtractGraph:
                 assert nesting_depth(node) <= 2 * len(names) + 2
                 for code in range(2 ** len(names)):
                     true = {a for i, a in enumerate(names) if code >> i & 1}
-                    assert holds_at(node, true) == (true in below)
+                    assert oracles.holds_at(node, true) == (true in below)
 
     def test_more_atoms_than_the_cap_rejected(self):
         atoms = tuple(f"a{i}" for i in range(pg.MAX_PROGRAM_ATOMS + 1))

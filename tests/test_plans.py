@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from mindcheck import pgraph as pg
 from mindcheck import plans as pl
 
 import generators
+import oracles
 from common import running_library, running_model, running_program
 
 
@@ -54,28 +57,29 @@ class TestLoadLibrary:
 class TestPConsistency:
     def test_running_example_ok(self):
         m = running_model()
-        assert pl.check_p_consistency(m, running_library(), {"alpha"}) is None
+        assert m.intentions == {"alpha"}
+        assert pl.check_p_consistency(m, running_library()) is None
 
     def test_believed_post_fails_admissibility(self):
         lib = pl.load_library(
             {"plans": [{"name": "alpha", "pre": "T", "post": "q"}]})
         m = running_model()  # B(q) holds here
-        failure = pl.check_p_consistency(m, lib, {"alpha"})
-        assert failure == pl.ConsistencyFailure(
+        failure = pl.check_p_consistency(m, lib)
+        assert failure == pl.PlanFailure(
             "alpha", "postcondition-not-admissible")
 
     def test_disbelieved_precondition_fails(self):
         lib = pl.load_library(
             {"plans": [{"name": "alpha", "pre": "~q", "post": "p"}]})
         m = running_model()
-        failure = pl.check_p_consistency(m, lib, {"alpha"})
-        assert failure == pl.ConsistencyFailure(
+        failure = pl.check_p_consistency(m, lib)
+        assert failure == pl.PlanFailure(
             "alpha", "precondition-not-believed")
 
     def test_unknown_symbol(self):
-        with pytest.raises(pl.LibraryError):
-            pl.check_p_consistency(running_model(), running_library(),
-                                   {"ghost"})
+        m = dataclasses.replace(running_model(), intentions={"ghost"})
+        with pytest.raises(fm.UnknownPlanError):
+            pl.check_p_consistency(m, running_library())
 
     def test_induced_models_always_pass(self):
         rng = random.Random(3)
@@ -84,7 +88,7 @@ class TestPConsistency:
             lib = generators.random_library(rng, ag.atoms)
             m = pg.induce_program(ag, lib, check_intentions=False)
             m = generators.adopt_admissible_intentions(rng, m, lib)
-            assert pl.check_p_consistency(m, lib, m.intentions) is None
+            assert pl.check_p_consistency(m, lib) is None
 
     def test_filtered_models_always_pass(self):
         rng = random.Random(4)
@@ -92,8 +96,48 @@ class TestPConsistency:
         for _ in range(40):
             m = generators.random_model(rng, intentions={"alpha"})
             filtered = dynamics.filter_intentions(m, lib)
-            assert pl.check_p_consistency(
-                filtered, lib, filtered.intentions) is None
+            assert pl.check_p_consistency(filtered, lib) is None
+
+
+class TestPlanCheckOracle:
+    def test_every_plan_adopted_matches_the_oracle(self):
+        rng = random.Random(6)
+        kept = 0
+        reasons = collections.Counter()
+        for i in range(200):
+            m = generators.random_model(rng, n_atoms=2 + i % 2)
+            lib = generators.random_library(rng, m.atoms)
+            m = dataclasses.replace(m, intentions=frozenset(lib.plans))
+            plaus, des = m.plausibility.pairs, m.desirability.pairs
+            true_at = {w: {a for a in m.atoms if w in m.valuation[a]}
+                       for w in m.worlds}
+
+            def sat(f):
+                return frozenset(w for w in m.worlds
+                                 if oracles.holds_at(f, true_at[w]))
+
+            consistent = [
+                s for s in sorted(lib.plans) if oracles.p_consistent(
+                    plaus, des, m.worlds, sat(lib.get(s).pre),
+                    sat(lib.get(s).post))
+            ]
+            kept += len(consistent)
+            failing = [s for s in sorted(lib.plans) if s not in consistent]
+            assert dynamics.filter_intentions(m, lib).intentions == set(consistent)
+            failure = pl.check_p_consistency(m, lib)
+            if not failing:
+                assert failure is None
+                continue
+            first = failing[0]
+            believed = oracles.settles(plaus, m.worlds, sat(lib.get(first).pre))
+            reason = ("postcondition-not-admissible" if believed
+                      else "precondition-not-believed")
+            assert failure == pl.PlanFailure(first, reason)
+            reasons[reason] += 1
+        # the sweep must keep plans and reject them for both reasons
+        assert kept >= 30
+        assert reasons["precondition-not-believed"] >= 30
+        assert reasons["postcondition-not-admissible"] >= 100
 
 
 class TestPlanGoalConnection:
