@@ -241,8 +241,9 @@ def cmd_eval(args) -> int:
         raise CliError("parse-error", str(exc)) from exc
     ext = checker.extension(m, lib, f)
     verdict = ext == m.worlds
+    bits = m.bits_by_world
     worlds = [
-        {"id": w, "bits": m.world_bits(w), "holds": w in ext}
+        {"id": w, "bits": bits[w], "holds": w in ext}
         for w in md.sorted_worlds(m)
     ]
     doc = {
@@ -336,8 +337,10 @@ def _step_report(index: int, line: str, m: md.AgentModel,
 
 
 def _print_step(report: dict, m: md.AgentModel) -> None:
+    bits = m.bits_by_world
+
     def label(ws):
-        return " ".join(f"{w}({m.world_bits(w)})" for w in ws) or "-"
+        return " ".join(f"{w}({bits[w]})" for w in ws) or "-"
 
     consistent = report["p_consistent"]
     flag = "n/a" if consistent is None else ("yes" if consistent else "no")

@@ -37,10 +37,12 @@ def upgrade(m: md.AgentModel, target: str, phi: fm.Formula) -> md.AgentModel:
     removed.
     """
     sat = md.satisfying_worlds(phi, m.worlds, m.valuation)
-    rows = m.order(target).up_rows()
-    rest = md.mask(m.worlds - sat)
+    old = m.order(target)
+    rows, cols = old.up_rows(), old.down_rows()
+    top, rest = md.mask(sat), md.mask(m.worlds - sat)
     up = {w: rows[w] | rest if w in sat else rows[w] & rest for w in m.worlds}
-    return m.with_order(target, md.Preorder(m.worlds, up))
+    down = {u: cols[u] & top if u in sat else cols[u] | top for u in m.worlds}
+    return m.with_order(target, md.Preorder._of_rows(m.worlds, up, down))
 
 
 def contract(m: md.AgentModel, target: str, phi: fm.Formula) -> md.AgentModel:
@@ -54,10 +56,11 @@ def contract(m: md.AgentModel, target: str, phi: fm.Formula) -> md.AgentModel:
     min_all = old.min_set(m.worlds)
     min_counter = old.min_set(counter)
     bottom = min_all | min_counter
-    rows = old.up_rows()
-    full, keep = md.mask(m.worlds), ~md.mask(min_counter)
+    rows, cols = old.up_rows(), old.down_rows()
+    full, keep, low = md.mask(m.worlds), ~md.mask(min_counter), md.mask(bottom)
     up = {w: full if w in bottom else rows[w] & keep for w in m.worlds}
-    return m.with_order(target, md.Preorder(m.worlds, up))
+    down = {u: low if u in min_counter else cols[u] | low for u in m.worlds}
+    return m.with_order(target, md.Preorder._of_rows(m.worlds, up, down))
 
 
 def product_update(m: md.AgentModel, lib: pl.PlanLibrary,

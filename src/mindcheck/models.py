@@ -2,14 +2,21 @@
 
 Worlds are small non-negative integers whose identity is stable within a
 model value: restriction keeps surviving ids, and ids are never reused.
-Relations are stored densely as per-world bit rows, one int per world.
+Relations are stored densely as per-world bit rows, one int per world: an
+up row (the worlds at or above w) and a down row (the worlds at or below
+w). A preorder built from up rows gets its down rows from one word-parallel
+bit-matrix transpose, Warren's block swap over the rows packed into one
+int. A carrier whose ids spread far wider than its size has its columns
+renumbered to dense ranks first, so the matrix stays about as wide as the
+carrier. Restriction, upgrade and contraction derive both row sets
+directly and transpose nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, compress, count, repeat
 from operator import itemgetter, or_
 from typing import Iterable, Mapping, Optional
@@ -68,37 +75,115 @@ def _set_bits(row: int):
     return compress(count(), format(row, "b")[::-1].encode().translate(_BIT_BYTES))
 
 
+_SWAP_COLUMN_BYTES = {1: b"\xaa", 2: b"\xcc", 4: b"\xf0"}
+
+
+def _swap_masks(side: int, stride: int):
+    """(shift, mask) for each round of _swap, largest block first.
+
+    Round j pairs bit (r, c) with bit (r + j, c - j): the mask holds the
+    cells whose row has bit j clear and whose column within its tile has
+    bit j set. It is built from repeated bytes: 0xAA, 0xCC and 0xF0 below
+    a byte, runs of zero and 0xFF bytes above it.
+    """
+    zero_row = bytes(stride // 8)
+    j = side // 2
+    while j:
+        if j < 8:
+            columns = _SWAP_COLUMN_BYTES[j] * (side // 8)
+        else:
+            columns = (bytes(j // 8) + b"\xff" * (j // 8)) * (side // (2 * j))
+        block = (columns * (stride // side)) * j + zero_row * j
+        yield j * (stride - 1), int.from_bytes(block * (side // (2 * j)), "little")
+        j //= 2
+
+
+@lru_cache(maxsize=8)
+def _cached_swap_masks(side: int, stride: int) -> tuple:
+    return tuple(_swap_masks(side, stride))
+
+
+_CACHED_MASK_BITS = 1 << 20  # masks of up to 128 KiB each are kept for reuse
+
+
+def _swap(data: bytes, side: int, stride: int) -> bytes:
+    """Transpose, in place, each side x side tile of a bit matrix.
+
+    data holds side rows of stride bits each, little-endian, row r at bit
+    r * stride; the tiles sit side by side along the rows. Warren's swap
+    (Hacker's Delight, 7-3) exchanges the off-diagonal blocks of every
+    2j x 2j block for j = side/2, ..., 1, each round a few operations on
+    the whole matrix as one int.
+    """
+    x = int.from_bytes(data, "little")
+    if side * stride <= _CACHED_MASK_BITS:
+        masks = _cached_swap_masks(side, stride)
+    else:
+        masks = _swap_masks(side, stride)
+    for shift, m in masks:
+        t = (x ^ (x >> shift)) & m
+        x ^= t ^ (t << shift)
+    return x.to_bytes(side * stride // 8, "little")
+
+
+def _side(k: int) -> int:
+    """The power of two at or above k, and at least one byte."""
+    return 1 << max(3, (k - 1).bit_length())
+
+
 def _transpose(carrier: frozenset[WorldId],
                up: Mapping[WorldId, int]) -> dict[WorldId, int]:
     """The down rows of the up rows: bit w of down[u] iff bit u of up[w].
 
-    Each row is rendered as a binary string and the carrier's columns are cut
-    out of it run by run (a run is a stretch of consecutive ids), so
-    zip(*rows) transposes in C. Below each run sits one filler row of zeros
-    as wide as the id gap beneath it, so a joined column reads as a binary
-    number indexed by world id. The work grows with the carrier size times
-    the row width, never with a square of the largest id.
+    The rows become one bit matrix that _swap transposes word-parallel.
+    Row w goes to row w % side of tile w // side, and only tiles that hold
+    a world are kept, side by side; the result's rows are read back tile
+    after tile, each tile at its place among the ids, so every down row
+    comes out indexed by world id.
+
+    The columns of a tile are the up rows' bits. When the carrier is dense,
+    they are the ids themselves and the matrix is one square tile. When the
+    id span is more than four times wider than the carrier (both rounded up
+    to powers of two), such a tile would be mostly empty, so the columns
+    are renumbered to dense ranks first: each up row's runs of consecutive
+    ids are cut out of its binary string, and the tiles are only as wide
+    as the carrier. Either way the swap is the same.
     """
-    ids = sorted(carrier, reverse=True)
-    if not ids:
+    if not carrier:
         return {}
-    width = ids[0] + 1
-    fmt = f"0{width}b"
-    cuts = [slice(0, 0)]  # keeps pick's result a tuple when there is one run
-    gaps = {}  # lowest id of a run -> count of absent ids just below it
-    top = ids[0]
-    for w, below in zip(ids, ids[1:] + [-1]):
-        if below != w - 1 or below < 0:
-            cuts.append(slice(width - 1 - top, width - w))
-            gaps[w] = w - below - 1
-            top = below
-    pick = itemgetter(*cuts)
-    rows: list = []
-    for w in ids:
-        rows.append("".join(pick(format(up[w], fmt))))
-        if gaps.get(w):
-            rows.append(("0" * gaps[w],) * len(ids))
-    return {u: int("".join(col), 2) for u, col in zip(ids, zip(*rows))}
+    ids = sorted(carrier)
+    span = ids[-1] + 1
+    if _side(span) <= 4 * _side(len(ids)):
+        side, rows, columns = _side(span), up, ids
+    else:
+        side, columns = _side(len(ids)), range(len(ids))
+        fmt = f"0{span}b"
+        cuts = [slice(0, 0)]  # keeps pick's result a tuple when there is one run
+        top = ids[-1]
+        for w, below in zip(ids[::-1], ids[-2::-1] + [-1]):
+            if below != w - 1 or below < 0:
+                cuts.append(slice(span - 1 - top, span - w))
+                top = below
+        pick = itemgetter(*cuts)
+        rows = {w: int("".join(pick(format(up[w], fmt))), 2) for w in ids}
+    tiles = sorted({w // side for w in ids})
+    slot = {t: i for i, t in enumerate(tiles)}
+    row_bytes, stride = side // 8, len(tiles) * side
+    pieces, free = [], 0
+    for w in sorted(ids, key=lambda w: w % side):
+        at = w % side * len(tiles) + slot[w // side]
+        pieces += bytes((at - free) * row_bytes), rows[w].to_bytes(row_bytes, "little")
+        free = at + 1
+    matrix = _swap(b"".join(pieces), side, stride)
+    size = stride // 8
+    result = [matrix[c * size:(c + 1) * size] for c in columns]
+    if tiles[-1] >= len(tiles):  # empty tiles between kept ones read as zeros
+        gaps = [bytes((t - before - 1) * row_bytes)
+                for before, t in zip([-1] + tiles, tiles)]
+        cut = [slice(i, i + row_bytes) for i in range(0, size, row_bytes)]
+        result = [b"".join(chain.from_iterable(zip(gaps, map(r.__getitem__, cut))))
+                  for r in result]
+    return {u: int.from_bytes(r, "little") for u, r in zip(ids, result)}
 
 
 def _closure(up: dict[WorldId, int]) -> dict[WorldId, int]:
@@ -107,28 +192,37 @@ def _closure(up: dict[WorldId, int]) -> dict[WorldId, int]:
     Tarjan finishes a component only after every component it reaches, so
     its closed row is its members' bits ORed with the closed rows of the
     components its members point into. The depth-first search keeps its own
-    stack of (world, pending successors), so deep chains do not recurse.
+    stack of [world, pending successors mask], so deep chains do not
+    recurse. Each time a frame resumes, successors already in a finished
+    component are masked out at once: they can neither be visited nor lower
+    the frame's low link, and their closed rows are ORed in when the
+    component is finished.
     """
     index: dict[WorldId, int] = {}
     low: dict[WorldId, int] = {}
     closed: dict[WorldId, int] = {}
+    finished = 0
     stack: list[WorldId] = []
     for root in up:
         if root in index:
             continue
         index[root] = low[root] = len(index)
         stack.append(root)
-        work = [(root, _bits(up[root]))]
+        work = [[root, up[root]]]
         while work:
-            v, successors = work[-1]
-            for u in successors:
+            frame = work[-1]
+            v, pending = frame[0], frame[1] & ~finished
+            while pending:
+                bit = pending & -pending
+                pending ^= bit
+                u = bit.bit_length() - 1
                 if u not in index:
+                    frame[1] = pending
                     index[u] = low[u] = len(index)
                     stack.append(u)
-                    work.append((u, _bits(up[u])))
+                    work.append([u, up[u]])
                     break
-                if u not in closed:  # on the stack: same component as v
-                    low[v] = min(low[v], index[u])
+                low[v] = min(low[v], index[u])  # on the stack: same component
             else:
                 work.pop()
                 if work:
@@ -143,6 +237,7 @@ def _closure(up: dict[WorldId, int]) -> dict[WorldId, int]:
                         if u == v:
                             break
                     row = mask(members)
+                    finished |= row
                     outside = reach & ~row
                     while outside:
                         low_bit = outside & -outside
@@ -166,6 +261,15 @@ class Preorder:
     def __init__(self, carrier: frozenset[WorldId], up: dict[WorldId, int]):
         carrier = frozenset(carrier)
         self._set_rows(carrier, dict(up), _transpose(carrier, up))
+
+    @classmethod
+    def _of_rows(cls, carrier: frozenset[WorldId], up: dict[WorldId, int],
+                 down: dict[WorldId, int]) -> "Preorder":
+        """An order from rows the caller already knows to mirror each other
+        (down the transpose of up), so no transpose runs."""
+        order = object.__new__(cls)
+        order._set_rows(carrier, up, down)
+        return order
 
     def _set_rows(self, carrier, up, down):
         object.__setattr__(self, "carrier", carrier)
@@ -282,10 +386,8 @@ class Preorder:
         if not keep <= self.carrier:
             raise ModelError(f"worlds {sorted(keep - self.carrier)} outside carrier")
         kmask = mask(keep)
-        restricted = object.__new__(Preorder)
-        restricted._set_rows(keep, {w: self._up[w] & kmask for w in keep},
-                             {w: self._down[w] & kmask for w in keep})
-        return restricted
+        return Preorder._of_rows(keep, {w: self._up[w] & kmask for w in keep},
+                                 {w: self._down[w] & kmask for w in keep})
 
     def validate(self) -> Optional[Violation]:
         for w in sorted(self.carrier):
@@ -353,7 +455,19 @@ class AgentModel:
 
     def world_bits(self, w: WorldId) -> str:
         """Valuation of w as a 0/1 string in declared atom order."""
-        return "".join("1" if w in self.valuation[a] else "0" for a in self.atoms)
+        return self.bits_by_world[w]
+
+    @cached_property
+    def bits_by_world(self) -> Mapping[WorldId, str]:
+        """world_bits of every world, computed once per model value. Read
+        only."""
+        n = len(self.atoms)
+        codes = dict.fromkeys(self.worlds, 1 << n)  # a leading 1 keeps zeros
+        for i, a in enumerate(self.atoms):
+            bit = 1 << (n - 1 - i)
+            for w in self.valuation[a] & self.worlds:
+                codes[w] |= bit
+        return {w: format(code, "b")[1:] for w, code in codes.items()}
 
     def restrict(self, keep: Iterable[WorldId]) -> "AgentModel":
         """Intersect worlds, both orders, and the valuation with keep."""
@@ -471,7 +585,7 @@ def _checked_pairs(pairs, field: str) -> list:
 
 def sorted_worlds(m: AgentModel) -> list[WorldId]:
     """Worlds in document order: by valuation bit string, then by id."""
-    return sorted(m.worlds, key=lambda w: (m.world_bits(w), w))
+    return sorted(sorted(m.worlds), key=m.bits_by_world.__getitem__)
 
 
 def dump_model(m: AgentModel) -> dict:

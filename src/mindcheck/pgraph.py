@@ -138,8 +138,7 @@ def extract_graph(m: md.AgentModel, tag: str) -> PriorityGraph:
         raise GraphError(f"extract supports at most {MAX_PROGRAM_ATOMS} atoms, "
                          f"the model has {len(m.atoms)}")
     by_val: dict[str, md.WorldId] = {}
-    for w in m.worlds:
-        bits = m.world_bits(w)
+    for w, bits in m.bits_by_world.items():
         if bits in by_val:
             raise GraphError(
                 f"valuation not injective: worlds {by_val[bits]} and {w} agree"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -392,3 +394,140 @@ class TestRowConstruction:
         expected = frozenset(
             (w, u) for w in m.worlds for u in m.worlds if le(w, u))
         assert pg.induced_order(g, m.worlds, m.valuation).pairs == expected
+
+
+# ---------------------------------------------------------------------------
+# The transposer, the mirrored rows of rewritten orders, and the closure,
+# each against a reference on plain pair sets.
+
+def row_members(row, ids):
+    """The ids whose bits are set in row; a bit outside ids fails."""
+    members = {u for u in ids if row >> u & 1}
+    assert row == sum(1 << u for u in members)
+    return members
+
+
+def transposed(up):
+    """down[u] = {w | u in up[w]}, on plain sets."""
+    down = {u: set() for u in up}
+    for w, row in up.items():
+        for u in row_members(row, up):
+            down[u].add(w)
+    return down
+
+
+def assert_down_rows_transpose_up_rows(order):
+    up = dict(order.up_rows())
+    down = order.down_rows()
+    assert set(down) == set(order.carrier)
+    assert {u: row_members(r, up) for u, r in down.items()} == transposed(up)
+
+
+@st.composite
+def carriers(draw):
+    """Dense, gapped and far-flung world ids."""
+    kind = draw(st.sampled_from(["dense", "gapped", "sparse"]))
+    if kind == "dense":
+        return frozenset(range(draw(st.integers(0, 70))))
+    if kind == "gapped":
+        return frozenset(draw(st.sets(st.integers(0, 300), max_size=40)))
+    return frozenset(draw(st.sets(st.sampled_from(
+        [0, 1, 2, 63, 64, 65, 4096, 999_999, 1_000_000]), min_size=1)))
+
+
+@st.composite
+def row_sets(draw):
+    """A carrier with arbitrary up rows inside it (not closed)."""
+    worlds = draw(carriers())
+    ids = sorted(worlds)
+    up = {}
+    for w in ids:
+        picked = draw(st.sets(st.sampled_from(ids))) if ids else set()
+        up[w] = sum(1 << u for u in picked)
+    return worlds, up
+
+
+def random_rows(ids, rng):
+    return {w: sum(1 << u for u in ids if rng.random() < 0.4) for w in ids}
+
+
+class TestTranspose:
+    @settings(max_examples=300)
+    @given(row_sets())
+    def test_down_rows_are_the_pair_set_transpose(self, rows):
+        worlds, up = rows
+        assert_down_rows_transpose_up_rows(md.Preorder(worlds, up))
+
+    @pytest.mark.parametrize("span", [1, 7, 8, 9, 63, 64, 65, 255, 256, 257])
+    @pytest.mark.parametrize("shape", ["dense", "gapped", "ends"])
+    def test_id_spans_around_powers_of_two(self, span, shape):
+        rng = random.Random(span)
+        ids = {"dense": range(span),
+               "gapped": sorted(set(range(0, span, 3)) | {span - 1}),
+               "ends": sorted({0, span - 1})}[shape]
+        worlds = frozenset(ids)
+        assert_down_rows_transpose_up_rows(
+            md.Preorder(worlds, random_rows(sorted(worlds), rng)))
+
+    def test_empty_carrier(self):
+        o = md.Preorder(frozenset(), {})
+        assert dict(o.down_rows()) == {} and dict(o.down_rows(strict=True)) == {}
+
+    @pytest.mark.parametrize("w", [0, 5, 64, 1_000_000])
+    def test_single_world(self, w):
+        o = md.Preorder(frozenset({w}), {w: 1 << w})
+        assert dict(o.down_rows()) == {w: 1 << w}
+        assert dict(o.down_rows(strict=True)) == {w: 0}
+
+    def test_far_flung_ids(self):
+        worlds = frozenset({0, 1_000_000})
+        up = {0: 1 | 1 << 1_000_000, 1_000_000: 1 << 1_000_000}
+        o = md.Preorder(worlds, up)
+        assert dict(o.down_rows()) == {0: 1, 1_000_000: 1 | 1 << 1_000_000}
+
+
+class TestMirroredRows:
+    @settings(max_examples=200)
+    @given(sparse_models(), gen.prop_formulas(), gen.order_tags())
+    def test_upgrade_down_rows_transpose_its_up_rows(self, m, phi, tag):
+        assert_down_rows_transpose_up_rows(dynamics.upgrade(m, tag, phi).order(tag))
+
+    @settings(max_examples=200)
+    @given(sparse_models(), gen.prop_formulas(), gen.order_tags())
+    def test_contract_down_rows_transpose_its_up_rows(self, m, phi, tag):
+        assert_down_rows_transpose_up_rows(dynamics.contract(m, tag, phi).order(tag))
+
+    @settings(max_examples=100)
+    @given(sparse_models(), st.lists(st.tuples(st.booleans(), gen.prop_formulas(),
+                                               gen.order_tags()), max_size=4))
+    def test_rewritten_orders_stay_mirrored(self, m, steps):
+        for is_upgrade, phi, tag in steps:
+            m = (dynamics.upgrade if is_upgrade else dynamics.contract)(m, tag, phi)
+        for tag in ("P", "D"):
+            o = m.order(tag)
+            assert_down_rows_transpose_up_rows(o)
+            strict = {u: row_members(r, m.worlds)
+                      for u, r in o.down_rows(strict=True).items()}
+            pairs = o.pairs
+            assert strict == {
+                u: {w for w in m.worlds if (w, u) in pairs and (u, w) not in pairs}
+                for u in m.worlds}
+
+
+class TestClosureOfClosedInputs:
+    @settings(max_examples=200)
+    @given(relations())
+    def test_closed_pairs_close_to_themselves(self, rel):
+        worlds, pairs = rel
+        closed = warshall(worlds, pairs)
+        assert md.Preorder.from_pairs(worlds, closed).pairs == closed
+
+    @pytest.mark.parametrize("block", [1, 4, 16])
+    def test_fully_closed_layered_order(self, block):
+        # Worlds in layers of `block` ties, each layer below every later one.
+        worlds = frozenset(range(128))
+        closed = frozenset((w, u) for w in worlds for u in worlds
+                           if u // block >= w // block)
+        o = md.Preorder.from_pairs(worlds, closed)
+        assert o.pairs == closed
+        assert_down_rows_transpose_up_rows(o)
