@@ -337,10 +337,8 @@ def _step_report(index: int, line: str, m: md.AgentModel,
 
 
 def _print_step(report: dict, m: md.AgentModel) -> None:
-    bits = m.bits_by_world
-
     def label(ws):
-        return " ".join(f"{w}({bits[w]})" for w in ws) or "-"
+        return " ".join(f"{w}({m.world_bits(w)})" for w in ws) or "-"
 
     consistent = report["p_consistent"]
     flag = "n/a" if consistent is None else ("yes" if consistent else "no")

@@ -6,18 +6,18 @@ Relations are stored densely as per-world bit rows, one int per world: an
 up row (the worlds at or above w) and a down row (the worlds at or below
 w). A preorder built from up rows gets its down rows from one word-parallel
 bit-matrix transpose, Warren's block swap over the rows packed into one
-int. A carrier whose ids spread far wider than its size has its columns
-renumbered to dense ranks first, so the matrix stays about as wide as the
-carrier. Restriction, upgrade and contraction derive both row sets
-directly and transpose nothing.
+int. A carrier whose ids spread far wider than its size is transposed
+over its worlds' ranks and spread back to ids, so the matrix stays about
+the carrier's size. Restriction, upgrade and contraction derive both row
+sets directly and transpose nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
-from itertools import chain, compress, count, repeat
+from functools import cached_property, reduce
+from itertools import accumulate, chain, compress, count, repeat
 from operator import itemgetter, or_
 from typing import Iterable, Mapping, Optional
 
@@ -78,52 +78,39 @@ def _set_bits(row: int):
 _SWAP_COLUMN_BYTES = {1: b"\xaa", 2: b"\xcc", 4: b"\xf0"}
 
 
-def _swap_masks(side: int, stride: int):
+def _swap_masks(side: int):
     """(shift, mask) for each round of _swap, largest block first.
 
     Round j pairs bit (r, c) with bit (r + j, c - j): the mask holds the
-    cells whose row has bit j clear and whose column within its tile has
-    bit j set. It is built from repeated bytes: 0xAA, 0xCC and 0xF0 below
-    a byte, runs of zero and 0xFF bytes above it.
+    cells whose row has bit j clear and whose column has bit j set. It is
+    built from repeated bytes: 0xAA, 0xCC and 0xF0 below a byte, runs of
+    zero and 0xFF bytes above it.
     """
-    zero_row = bytes(stride // 8)
+    zero_row = bytes(side // 8)
     j = side // 2
     while j:
         if j < 8:
-            columns = _SWAP_COLUMN_BYTES[j] * (side // 8)
+            row = _SWAP_COLUMN_BYTES[j] * (side // 8)
         else:
-            columns = (bytes(j // 8) + b"\xff" * (j // 8)) * (side // (2 * j))
-        block = (columns * (stride // side)) * j + zero_row * j
-        yield j * (stride - 1), int.from_bytes(block * (side // (2 * j)), "little")
+            row = (bytes(j // 8) + b"\xff" * (j // 8)) * (side // (2 * j))
+        block = row * j + zero_row * j
+        yield j * (side - 1), int.from_bytes(block * (side // (2 * j)), "little")
         j //= 2
 
 
-@lru_cache(maxsize=8)
-def _cached_swap_masks(side: int, stride: int) -> tuple:
-    return tuple(_swap_masks(side, stride))
+def _swap(data: bytes, side: int) -> bytes:
+    """Transpose a side x side bit matrix.
 
-
-_CACHED_MASK_BITS = 1 << 20  # masks of up to 128 KiB each are kept for reuse
-
-
-def _swap(data: bytes, side: int, stride: int) -> bytes:
-    """Transpose, in place, each side x side tile of a bit matrix.
-
-    data holds side rows of stride bits each, little-endian, row r at bit
-    r * stride; the tiles sit side by side along the rows. Warren's swap
-    (Hacker's Delight, 7-3) exchanges the off-diagonal blocks of every
-    2j x 2j block for j = side/2, ..., 1, each round a few operations on
-    the whole matrix as one int.
+    data holds side rows of side bits each, little-endian, row r at bit
+    r * side. Warren's swap (Hacker's Delight, 7-3) exchanges the
+    off-diagonal blocks of every 2j x 2j block for j = side/2, ..., 1, each
+    round a few operations on the whole matrix as one int.
     """
     x = int.from_bytes(data, "little")
-    if side * stride <= _CACHED_MASK_BITS:
-        masks = _cached_swap_masks(side, stride)
-    else:
-        masks = _swap_masks(side, stride)
-    for shift, m in masks:
+    for shift, m in _swap_masks(side):
         t = (x ^ (x >> shift)) & m
         x ^= t ^ (t << shift)
-    return x.to_bytes(side * stride // 8, "little")
+    return x.to_bytes(side * side // 8, "little")
 
 
 def _side(k: int) -> int:
@@ -135,55 +122,57 @@ def _transpose(carrier: frozenset[WorldId],
                up: Mapping[WorldId, int]) -> dict[WorldId, int]:
     """The down rows of the up rows: bit w of down[u] iff bit u of up[w].
 
-    The rows become one bit matrix that _swap transposes word-parallel.
-    Row w goes to row w % side of tile w // side, and only tiles that hold
-    a world are kept, side by side; the result's rows are read back tile
-    after tile, each tile at its place among the ids, so every down row
-    comes out indexed by world id.
-
-    The columns of a tile are the up rows' bits. When the carrier is dense,
-    they are the ids themselves and the matrix is one square tile. When the
-    id span is more than four times wider than the carrier (both rounded up
-    to powers of two), such a tile would be mostly empty, so the columns
-    are renumbered to dense ranks first: each up row's runs of consecutive
-    ids are cut out of its binary string, and the tiles are only as wide
-    as the carrier. Either way the swap is the same.
+    The rows become one square bit matrix that _swap transposes
+    word-parallel. When the carrier is dense, row and column w of the
+    matrix stand for world w. When the id span is more than four times
+    wider than the carrier (both rounded up to powers of two), that matrix
+    would be mostly empty, so rows and columns stand for the worlds' ranks
+    instead: each up row's runs of consecutive ids are cut out of its
+    binary string before the swap, and each down row's runs are spread
+    back to their ids after it, zeros filling the gaps. Either way the
+    matrix side is at most four times the carrier's size, rounded up.
     """
     if not carrier:
         return {}
     ids = sorted(carrier)
     span = ids[-1] + 1
-    if _side(span) <= 4 * _side(len(ids)):
-        side, rows, columns = _side(span), up, ids
+    dense = _side(span) <= 4 * _side(len(ids))
+    if dense:
+        side, places, rows = _side(span), ids, map(up.__getitem__, ids)
     else:
-        side, columns = _side(len(ids)), range(len(ids))
+        side, places = _side(len(ids)), range(len(ids))
+        runs, hi = [], ids[-1]  # (lowest, highest) id of each run, top run first
+        for w, below in zip(ids[::-1], ids[-2::-1] + [-2]):
+            if below != w - 1:
+                runs.append((w, hi))
+                hi = below
         fmt = f"0{span}b"
-        cuts = [slice(0, 0)]  # keeps pick's result a tuple when there is one run
-        top = ids[-1]
-        for w, below in zip(ids[::-1], ids[-2::-1] + [-1]):
-            if below != w - 1 or below < 0:
-                cuts.append(slice(span - 1 - top, span - w))
-                top = below
-        pick = itemgetter(*cuts)
-        rows = {w: int("".join(pick(format(up[w], fmt))), 2) for w in ids}
-    tiles = sorted({w // side for w in ids})
-    slot = {t: i for i, t in enumerate(tiles)}
-    row_bytes, stride = side // 8, len(tiles) * side
-    pieces, free = [], 0
-    for w in sorted(ids, key=lambda w: w % side):
-        at = w % side * len(tiles) + slot[w // side]
-        pieces += bytes((at - free) * row_bytes), rows[w].to_bytes(row_bytes, "little")
-        free = at + 1
-    matrix = _swap(b"".join(pieces), side, stride)
-    size = stride // 8
-    result = [matrix[c * size:(c + 1) * size] for c in columns]
-    if tiles[-1] >= len(tiles):  # empty tiles between kept ones read as zeros
-        gaps = [bytes((t - before - 1) * row_bytes)
-                for before, t in zip([-1] + tiles, tiles)]
-        cut = [slice(i, i + row_bytes) for i in range(0, size, row_bytes)]
-        result = [b"".join(chain.from_iterable(zip(gaps, map(r.__getitem__, cut))))
-                  for r in result]
-    return {u: int.from_bytes(r, "little") for u, r in zip(ids, result)}
+        # a leading empty cut keeps the result a tuple when there is one run
+        id_runs = itemgetter(slice(0, 0), *(slice(span - 1 - hi, span - lo)
+                                            for lo, hi in runs))
+        rows = (int("".join(id_runs(format(up[w], fmt))), 2) for w in ids)
+    row_bytes = side // 8
+    packed, free = [], 0
+    for p, row in zip(places, rows):
+        packed += bytes((p - free) * row_bytes), row.to_bytes(row_bytes, "little")
+        free = p + 1
+    matrix = _swap(b"".join(packed), side)
+    down = [int.from_bytes(matrix[p * row_bytes:(p + 1) * row_bytes], "little")
+            for p in places]
+    if not dense:
+        fmt = f"0{len(ids)}b"
+        ends = accumulate(hi - lo + 1 for lo, hi in runs)
+        rank_runs = itemgetter(slice(0, 0), *(slice(end - (hi - lo + 1), end)
+                                              for end, (lo, hi) in zip(ends, runs)))
+        pieces = [""] * (2 * len(runs) + 1)  # each run after the gap above it
+        pieces[1::2] = ("0" * (above - hi - 1)
+                        for above, (_, hi) in zip([span] + [lo for lo, _ in runs], runs))
+        spread = []
+        for row in down:
+            pieces[::2] = rank_runs(format(row, fmt))
+            spread.append(int("".join(pieces), 2) << ids[0])
+        down = spread
+    return dict(zip(ids, down))
 
 
 def _closure(up: dict[WorldId, int]) -> dict[WorldId, int]:
@@ -455,12 +444,12 @@ class AgentModel:
 
     def world_bits(self, w: WorldId) -> str:
         """Valuation of w as a 0/1 string in declared atom order."""
-        return self.bits_by_world[w]
+        return "".join("1" if w in self.valuation[a] else "0" for a in self.atoms)
 
     @cached_property
     def bits_by_world(self) -> Mapping[WorldId, str]:
-        """world_bits of every world, computed once per model value. Read
-        only."""
+        """world_bits of every world, computed together once per model
+        value. Read only."""
         n = len(self.atoms)
         codes = dict.fromkeys(self.worlds, 1 << n)  # a leading 1 keeps zeros
         for i, a in enumerate(self.atoms):

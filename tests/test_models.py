@@ -485,6 +485,29 @@ class TestTranspose:
         o = md.Preorder(worlds, up)
         assert dict(o.down_rows()) == {0: 1, 1_000_000: 1 | 1 << 1_000_000}
 
+    @pytest.mark.parametrize("span", [64, 65])
+    def test_ids_on_either_side_of_the_cut_over(self, span):
+        # 16 worlds: a span of 64 is transposed at the ids, 65 at the ranks.
+        ids = sorted({0, 1, 2, 20, 21, 40} | set(range(span - 10, span)))
+        assert_down_rows_transpose_up_rows(
+            md.Preorder(frozenset(ids), random_rows(ids, random.Random(span))))
+
+    def test_far_apart_worlds_keep_the_matrix_carrier_sized(self, monkeypatch):
+        calls = []
+        swap = md._swap
+
+        def recording_swap(data, side):
+            calls.append((len(data), side))
+            return swap(data, side)
+
+        monkeypatch.setattr(md, "_swap", recording_swap)
+        ids = [k * 4096 for k in range(256)]
+        o = md.Preorder(frozenset(ids), random_rows(ids, random.Random(1)))
+        assert len(calls) == 1
+        size, side = calls[0]
+        assert side == 256 and size <= side * side // 8
+        assert_down_rows_transpose_up_rows(o)
+
 
 class TestMirroredRows:
     @settings(max_examples=200)
