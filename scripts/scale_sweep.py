@@ -1,11 +1,12 @@
 """Scale sweep: wall time of mindcheck commands as the atom count grows.
 
-Runs, through mindcheck.cli.main in this process, on the test program below
-at each atom count:
+Runs, through mindcheck.cli.main in this process, on each test program
+below at each atom count:
 
     induce --program P --out M
     eval --model M --formula "B(a0)"
     eval --model M --formula "[up_P a1](B(a1))"
+    eval --model M --library L --formula "~Int(a0)"
     extract --model M
 
 and writes the median wall time of each command over --repeats runs, with
@@ -13,11 +14,18 @@ the interpreter and CPU it ran on, to a JSON file. A run whose command exits
 non-zero is reported on stderr and left out of the file, and the script then
 exits 1.
 
-Test program at n atoms: atoms a0..a(n-1); no knowledge; the belief graph
-ranks every atom (a_i at rank i); the desire graph ranks a0|a1, a1|a2 and
-a2|a3; no intentions.
+Test programs at n atoms, both over atoms a0..a(n-1) with no knowledge and
+no intentions:
+- ranked: the belief graph ranks every atom (a_i at rank i); the desire
+  graph ranks a0|a1, a1|a2 and a2|a3;
+- few-node: the belief graph ranks a0 then a1; the desire graph has the
+  one node a0|a1.
 
-    python3 scripts/scale_sweep.py --atoms 4 6 8 10 11 12 13 --out BENCH_8.json
+The library L holds four plans s0..s3, plan s_i with precondition T and
+post-condition a_(i mod n). No plan is adopted, so Int(a0) holds nowhere
+and its negation everywhere; evaluating it still executes every plan.
+
+    python3 scripts/scale_sweep.py --atoms 4 6 8 10 11 12 13 --out BENCH_9.json
 """
 
 import argparse
@@ -38,9 +46,11 @@ sys.path.insert(0, str(ROOT / "src"))
 from mindcheck import cli
 
 FORMULAS = ("B(a0)", "[up_P a1](B(a1))")
+INT_FORMULA = "~Int(a0)"
+PLANS = 4
 
 
-def sweep_program(n: int) -> dict:
+def ranked_program(n: int) -> dict:
     atoms = [f"a{i}" for i in range(n)]
     desires = [f"a{i} | a{i + 1}" for i in range(min(3, n - 1))]
     return {
@@ -52,12 +62,34 @@ def sweep_program(n: int) -> dict:
     }
 
 
-def commands(program: str, model: str) -> list[tuple[str, list[str]]]:
+def few_node_program(n: int) -> dict:
+    atoms = [f"a{i}" for i in range(n)]
+    return {
+        "atoms": atoms,
+        "K": [],
+        "B": {"nodes": atoms[:2], "ranks": list(range(len(atoms[:2])))},
+        "D": {"nodes": [" | ".join(atoms[:2])], "ranks": [0]},
+        "I": [],
+    }
+
+
+PROGRAMS = {"ranked": ranked_program, "few-node": few_node_program}
+
+
+def sweep_library(n: int) -> dict:
+    return {"plans": [{"name": f"s{i}", "pre": "T", "post": f"a{i % n}"}
+                      for i in range(PLANS)]}
+
+
+def commands(program: str, library: str,
+             model: str) -> list[tuple[str, list[str]]]:
     """(label, argv) of each measured command; induce writes the model the
     others read."""
     return ([("induce --out", ["induce", "--program", program, "--out", model])]
             + [(f"eval {f}", ["eval", "--model", model, "--formula", f])
                for f in FORMULAS]
+            + [(f"eval {INT_FORMULA}", ["eval", "--model", model, "--library", library,
+                                        "--formula", INT_FORMULA])]
             + [("extract", ["extract", "--model", model])])
 
 
@@ -86,26 +118,33 @@ def sweep(atom_counts, repeats: int, work: str):
     """Rows of results, and the descriptions of runs that exited non-zero."""
     rows, failures = [], []
     for n in atom_counts:
-        program = os.path.join(work, f"program{n}.json")
-        model = os.path.join(work, f"model{n}.json")
-        with open(program, "w", encoding="utf-8") as fh:
-            json.dump(sweep_program(n), fh)
-        times: dict[str, list[float]] = {
-            label: [] for label, _ in commands(program, model)}
-        for _ in range(repeats):
-            for label, argv in commands(program, model):
-                rc, elapsed, err = timed(argv)
-                if rc != 0:
-                    failures.append(f"{n} atoms, {label}: exit {rc}: {err.strip()}")
-                    print(f"scale_sweep: {failures[-1]}", file=sys.stderr)
-                    continue
-                times[label].append(elapsed)
-        for label, ts in times.items():
-            if ts:
-                rows.append({"atoms": n, "worlds": 2 ** n, "command": label,
-                             "median_s": round(statistics.median(ts), 4),
-                             "runs": len(ts)})
-                print(f"{n:>3} atoms  {label:<26} {rows[-1]['median_s']:9.4f} s")
+        library = os.path.join(work, f"library{n}.json")
+        with open(library, "w", encoding="utf-8") as fh:
+            json.dump(sweep_library(n), fh)
+        for name, build in PROGRAMS.items():
+            program = os.path.join(work, f"{name}{n}.json")
+            model = os.path.join(work, f"{name}{n}.model.json")
+            with open(program, "w", encoding="utf-8") as fh:
+                json.dump(build(n), fh)
+            runs = commands(program, library, model)
+            times: dict[str, list[float]] = {label: [] for label, _ in runs}
+            for _ in range(repeats):
+                for label, argv in runs:
+                    rc, elapsed, err = timed(argv)
+                    if rc != 0:
+                        failures.append(f"{name} program, {n} atoms, {label}: "
+                                        f"exit {rc}: {err.strip()}")
+                        print(f"scale_sweep: {failures[-1]}", file=sys.stderr)
+                        continue
+                    times[label].append(elapsed)
+            for label, ts in times.items():
+                if ts:
+                    rows.append({"program": name, "atoms": n, "worlds": 2 ** n,
+                                 "command": label,
+                                 "median_s": round(statistics.median(ts), 4),
+                                 "runs": len(ts)})
+                    print(f"{name:<9}{n:>3} atoms  {label:<26} "
+                          f"{rows[-1]['median_s']:9.4f} s")
     return rows, failures
 
 
@@ -113,14 +152,19 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--atoms", type=int, nargs="+", default=[4, 6, 8, 10, 11, 12, 13])
     ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--out", default=str(ROOT / "BENCH_8.json"))
+    ap.add_argument("--out", default=str(ROOT / "BENCH_9.json"))
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as work:
         rows, failures = sweep(args.atoms, args.repeats, work)
     doc = {
         "sweep": "scripts/scale_sweep.py",
-        "program": "atoms a0..a(n-1), K empty, B ranks each atom, "
-                   "D ranks a0|a1, a1|a2, a2|a3, I empty",
+        "programs": {
+            "ranked": "atoms a0..a(n-1), K empty, B ranks each atom, "
+                      "D ranks a0|a1, a1|a2, a2|a3, I empty",
+            "few-node": "atoms a0..a(n-1), K empty, B ranks a0 then a1, "
+                        "D has the one node a0|a1, I empty",
+        },
+        "library": f"{PLANS} plans s0..s{PLANS - 1}, plan s_i: pre T, post a_(i mod n)",
         "python": f"{platform.python_implementation()} {platform.python_version()}",
         "platform": platform.platform(),
         "cpu": cpu_model(),

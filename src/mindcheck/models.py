@@ -2,14 +2,18 @@
 
 Worlds are small non-negative integers whose identity is stable within a
 model value: restriction keeps surviving ids, and ids are never reused.
-Relations are stored densely as per-world bit rows, one int per world: an
-up row (the worlds at or above w) and a down row (the worlds at or below
-w). A preorder built from up rows gets its down rows from one word-parallel
-bit-matrix transpose, Warren's block swap over the rows packed into one
-int. A carrier whose ids spread far wider than its size is transposed
-over its worlds' ranks and spread back to ids, so the matrix stays about
-the carrier's size. Restriction, upgrade and contraction derive both row
-sets directly and transpose nothing.
+Relations are stored densely as per-world bit rows, one int per world: a
+down row (the worlds at or below w), a strict down row (those strictly
+below) and an up row (the worlds at or above w). Attitudes only look
+below a world, so orders loaded from documents are down-first: the
+closure runs on the reversed generator pairs and gives the down rows and
+the tie classes directly, and the up rows are derived on first read. A
+preorder built from up rows gets its down rows, and a loaded one its up
+rows, from one word-parallel bit-matrix transpose, Warren's block swap
+over the rows packed into one int. A carrier whose ids spread far wider
+than its size is transposed over its worlds' ranks and spread back to
+ids, so the matrix stays about the carrier's size. Restriction, upgrade
+and contraction derive their row sets directly and transpose nothing.
 """
 
 from __future__ import annotations
@@ -121,6 +125,7 @@ def _side(k: int) -> int:
 def _transpose(carrier: frozenset[WorldId],
                up: Mapping[WorldId, int]) -> dict[WorldId, int]:
     """The down rows of the up rows: bit w of down[u] iff bit u of up[w].
+    Transposing is its own inverse, so down rows give up rows the same way.
 
     The rows become one square bit matrix that _swap transposes
     word-parallel. When the carrier is dense, row and column w of the
@@ -175,66 +180,75 @@ def _transpose(carrier: frozenset[WorldId],
     return dict(zip(ids, down))
 
 
-def _closure(up: dict[WorldId, int]) -> dict[WorldId, int]:
+def _closure(rows: dict[WorldId, int]) -> tuple[dict[WorldId, int],
+                                               dict[WorldId, int]]:
     """Reflexive-transitive closure of bit rows in one Tarjan SCC pass.
+
+    Returns the closed rows and, per world, its closed row less its own
+    component: the components are the closure's tie classes, so on down
+    rows that is the strict down row.
 
     Tarjan finishes a component only after every component it reaches, so
     its closed row is its members' bits ORed with the closed rows of the
     components its members point into. The depth-first search keeps its own
-    stack of [world, pending successors mask], so deep chains do not
-    recurse. Each time a frame resumes, successors already in a finished
-    component are masked out at once: they can neither be visited nor lower
-    the frame's low link, and their closed rows are ORed in when the
-    component is finished.
+    stack of [world, pending successors mask, low link, stack height], so
+    deep chains do not recurse. Each time a frame resumes, successors
+    already in a finished component are masked out at once: they can
+    neither be visited nor lower the frame's low link, and their closed
+    rows are ORed in when the component is finished.
     """
     index: dict[WorldId, int] = {}
-    low: dict[WorldId, int] = {}
     closed: dict[WorldId, int] = {}
+    strict: dict[WorldId, int] = {}
     finished = 0
     stack: list[WorldId] = []
-    for root in up:
+    for root in rows:
         if root in index:
             continue
-        index[root] = low[root] = len(index)
+        index[root] = len(index)
+        work = [[root, rows[root], index[root], len(stack)]]
         stack.append(root)
-        work = [[root, up[root]]]
         while work:
             frame = work[-1]
-            v, pending = frame[0], frame[1] & ~finished
+            v, pending, low = frame[0], frame[1] & ~finished, frame[2]
             while pending:
                 bit = pending & -pending
                 pending ^= bit
                 u = bit.bit_length() - 1
-                if u not in index:
-                    frame[1] = pending
-                    index[u] = low[u] = len(index)
+                i = index.get(u)
+                if i is None:
+                    frame[1], frame[2] = pending, low
+                    index[u] = i = len(index)
+                    work.append([u, rows[u], i, len(stack)])
                     stack.append(u)
-                    work.append([u, up[u]])
                     break
-                low[v] = min(low[v], index[u])  # on the stack: same component
+                if i < low:  # on the stack: same component
+                    low = i
             else:
                 work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    members, reach = [], 0
-                    while True:
-                        u = stack.pop()
-                        members.append(u)
-                        reach |= up[u]
-                        if u == v:
-                            break
-                    row = mask(members)
-                    finished |= row
-                    outside = reach & ~row
-                    while outside:
-                        low_bit = outside & -outside
-                        row |= closed[low_bit.bit_length() - 1]
-                        outside &= ~row
-                    for u in members:
-                        closed[u] = row
-    return closed
+                if low != index[v]:
+                    if low < work[-1][2]:
+                        work[-1][2] = low
+                    continue
+                height = frame[3]
+                if height == len(stack) - 1:
+                    stack.pop()
+                    members, tie, reach = (v,), 1 << v, rows[v]
+                else:
+                    members = stack[height:]
+                    del stack[height:]
+                    tie, reach = mask(members), reduce(or_, map(rows.__getitem__, members))
+                finished |= tie
+                row, outside = tie, reach & ~tie
+                while outside:
+                    low_bit = outside & -outside
+                    row |= closed[low_bit.bit_length() - 1]
+                    outside &= ~row
+                below = row & ~tie
+                for u in members:
+                    closed[u] = row
+                    strict[u] = below
+    return closed, strict
 
 
 class Preorder:
@@ -243,28 +257,44 @@ class Preorder:
     Values are immutable once built. Constructors do not force the invariants
     (validate() reports the first violation), except from_pairs(close=True),
     which takes generator pairs and closes them reflexively-transitively.
+
+    An order built from up rows holds both row sets from the start. An
+    order closed from pairs is down-first: it holds its down rows and
+    strict down rows, and transposes its up rows once, on their first read.
+    Down sets, minima, le, pairs, equality and hashing read down rows only.
     """
 
-    __slots__ = ("carrier", "_up", "_down", "_sdown")
+    __slots__ = ("carrier", "_down", "_sdown", "_lazy_up")
 
     def __init__(self, carrier: frozenset[WorldId], up: dict[WorldId, int]):
         carrier = frozenset(carrier)
-        self._set_rows(carrier, dict(up), _transpose(carrier, up))
+        self._set_rows(carrier, _transpose(carrier, up), None, dict(up))
 
     @classmethod
     def _of_rows(cls, carrier: frozenset[WorldId], up: dict[WorldId, int],
                  down: dict[WorldId, int]) -> "Preorder":
         """An order from rows the caller already knows to mirror each other
         (down the transpose of up), so no transpose runs."""
+        return cls._of_down(carrier, down, None, up)
+
+    @classmethod
+    def _of_down(cls, carrier: frozenset[WorldId], down: dict[WorldId, int],
+                 strict: Optional[dict[WorldId, int]],
+                 up: Optional[dict[WorldId, int]] = None) -> "Preorder":
+        """An order from its down rows. strict=None derives the strict down
+        rows from the up rows; up=None leaves the up rows to their first
+        read."""
         order = object.__new__(cls)
-        order._set_rows(carrier, up, down)
+        order._set_rows(carrier, down, strict, up)
         return order
 
-    def _set_rows(self, carrier, up, down):
+    def _set_rows(self, carrier, down, strict, up):
+        if strict is None:  # w's tie class is up[w] & down[w]
+            strict = {w: down[w] & ~up[w] for w in carrier}
         object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "_up", up)
         object.__setattr__(self, "_down", down)
-        object.__setattr__(self, "_sdown", {w: down[w] & ~up[w] for w in carrier})
+        object.__setattr__(self, "_sdown", strict)
+        object.__setattr__(self, "_lazy_up", up)
 
     def __setattr__(self, name, value):
         raise AttributeError("Preorder is immutable")
@@ -273,13 +303,24 @@ class Preorder:
     def from_pairs(cls, carrier: Iterable[WorldId],
                    pairs: Iterable[tuple[WorldId, WorldId]],
                    close: bool = True) -> "Preorder":
+        """The order generated by pairs (w, u), read w <= u.
+
+        Each pair sets bit w of u's down row. With close, one closure pass
+        over those rows gives the down rows and strict down rows. Without
+        it, the rows are taken as they are and the up rows transposed.
+        """
         carrier = frozenset(carrier)
-        up = {w: 0 for w in carrier}
+        pairs = list(pairs)
+        if not set(chain.from_iterable(pairs)) <= carrier:
+            w, u = next((w, u) for w, u in pairs
+                        if w not in carrier or u not in carrier)
+            raise ModelError(f"relation pair ({w},{u}) leaves the carrier")
+        down = dict.fromkeys(carrier, 0)
         for w, u in pairs:
-            if w not in carrier or u not in carrier:
-                raise ModelError(f"relation pair ({w},{u}) leaves the carrier")
-            up[w] |= 1 << u
-        return cls(carrier, _closure(up) if close else up)
+            down[u] |= 1 << w
+        if close:
+            return cls._of_down(carrier, *_closure(down))
+        return cls._of_rows(carrier, _transpose(carrier, down), down)
 
     @classmethod
     def identity(cls, carrier: Iterable[WorldId]) -> "Preorder":
@@ -291,6 +332,16 @@ class Preorder:
         carrier = frozenset(carrier)
         full = mask(carrier)
         return cls(carrier, {w: full for w in carrier})
+
+    @property
+    def _up(self) -> dict[WorldId, int]:
+        """The up rows, transposed from the down rows on first read and
+        kept from then on."""
+        up = self._lazy_up
+        if up is None:
+            up = _transpose(self.carrier, self._down)
+            object.__setattr__(self, "_lazy_up", up)
+        return up
 
     def up_rows(self) -> Mapping[WorldId, int]:
         """Per world w, the mask of all u with w <= u. Read only."""
@@ -304,22 +355,21 @@ class Preorder:
         return self._sdown if strict else self._down
 
     def le(self, w: WorldId, u: WorldId) -> bool:
-        return bool(self._up[w] >> u & 1)
+        return bool(self._down[u] >> w & 1)
 
     def lt(self, w: WorldId, u: WorldId) -> bool:
-        return self.le(w, u) and not self.le(u, w)
+        return bool(self._sdown[u] >> w & 1)
 
     @property
     def pairs(self) -> frozenset[tuple[WorldId, WorldId]]:
         return frozenset(
-            (w, u) for w in self.carrier for u in _bits(self._up[w])
+            (w, u) for u in self.carrier for w in _bits(self._down[u])
         )
 
     def strict_pairs(self) -> frozenset[tuple[WorldId, WorldId]]:
         """The strict part: all (w,u) with w <= u and not u <= w."""
         return frozenset(
-            (w, u) for w in self.carrier for u in _bits(self._up[w])
-            if not self.le(u, w)
+            (w, u) for u in self.carrier for w in _bits(self._sdown[u])
         )
 
     def reduction_pairs(self) -> list[list[WorldId]]:
@@ -375,8 +425,11 @@ class Preorder:
         if not keep <= self.carrier:
             raise ModelError(f"worlds {sorted(keep - self.carrier)} outside carrier")
         kmask = mask(keep)
-        return Preorder._of_rows(keep, {w: self._up[w] & kmask for w in keep},
-                                 {w: self._down[w] & kmask for w in keep})
+        up = self._lazy_up
+        return Preorder._of_down(
+            keep, {w: self._down[w] & kmask for w in keep},
+            {w: self._sdown[w] & kmask for w in keep},
+            None if up is None else {w: up[w] & kmask for w in keep})
 
     def validate(self) -> Optional[Violation]:
         for w in sorted(self.carrier):
@@ -391,10 +444,10 @@ class Preorder:
 
     def __eq__(self, other):
         return (isinstance(other, Preorder)
-                and self.carrier == other.carrier and self._up == other._up)
+                and self.carrier == other.carrier and self._down == other._down)
 
     def __hash__(self):
-        return hash((self.carrier, tuple(sorted(self._up.items()))))
+        return hash((self.carrier, tuple(sorted(self._down.items()))))
 
     def __repr__(self):
         nonrefl = sorted((w, u) for (w, u) in self.pairs if w != u)
@@ -526,7 +579,7 @@ def load_model(doc: dict) -> AgentModel:
         if not isinstance(wd, dict) or "id" not in wd:
             raise ModelError(f"world entry must be an object with an id, got {wd!r}")
         w = wd["id"]
-        if not isinstance(w, int) or w < 0:
+        if type(w) is not int or w < 0:
             raise ModelError(f"world id must be a non-negative int, got {w!r}")
         if w in worlds:
             raise ModelError(f"duplicate world id {w}")

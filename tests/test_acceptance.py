@@ -320,6 +320,7 @@ EXIT_CODE_MATRIX = [
     (("eval", "--model", "string_atoms_model.json", "--formula", "p"), 2),
     (("eval", "--model", "bare_world_model.json", "--formula", "p"), 2),
     (("eval", "--model", "idless_world_model.json", "--formula", "p"), 2),
+    (("eval", "--model", "bool_id_model.json", "--formula", "p", "--json"), 2),
     (("eval", "--model", "string_atom_list_model.json", "--formula", "p"), 2),
     (("eval", "--model", "string_intentions_model.json", "--formula", "p"), 2),
     (("eval", "--model", "chain_model.json",

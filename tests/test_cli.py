@@ -349,6 +349,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize("name", [
         "bare_world_model.json", "idless_world_model.json",
         "string_atom_list_model.json", "string_intentions_model.json",
+        "bool_id_model.json",
     ])
     def test_malformed_model_is_model_error(self, capsys, name):
         code, out, err = run(capsys, "eval", "--model", fx(name),

@@ -1,10 +1,12 @@
+import json
+import pathlib
 import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mindcheck import dynamics
+from mindcheck import cli, dynamics
 from mindcheck import formulas as fm
 from mindcheck import models as md
 from mindcheck import pgraph as pg
@@ -236,7 +238,7 @@ class TestModelDocuments:
     @pytest.mark.parametrize("field, value", [
         ("worlds", [5]), ("worlds", [{"true_atoms": []}]), ("worlds", "01"),
         ("atoms", "pq"), ("atoms", ["p", 5]), ("intentions", "ab"),
-        ("intentions", [1]),
+        ("intentions", [1]), ("worlds", [{"id": True}]),
     ])
     def test_malformed_entries(self, field, value):
         doc = dict(self.DOC, **{field: value})
@@ -554,3 +556,112 @@ class TestClosureOfClosedInputs:
         o = md.Preorder.from_pairs(worlds, closed)
         assert o.pairs == closed
         assert_down_rows_transpose_up_rows(o)
+
+
+# ---------------------------------------------------------------------------
+# Down-first loading: documents close to down rows, and up rows are
+# transposed only when read.
+
+@st.composite
+def generator_documents(draw):
+    """Model documents with random generator pairs (cycles are common)
+    over dense, gapped and far-flung world ids."""
+    kind = draw(st.sampled_from(["dense", "gapped", "sparse"]))
+    if kind == "dense":
+        worlds = range(draw(st.integers(0, 20)))
+    elif kind == "gapped":
+        worlds = draw(st.sets(st.integers(0, 300), max_size=20))
+    else:
+        worlds = draw(st.sets(st.sampled_from(
+            [0, 1, 2, 63, 64, 65, 4096, 999_999, 1_000_000]), min_size=1))
+    ids = sorted(worlds)
+
+    def generators():
+        if not ids:
+            return []
+        return draw(st.lists(st.lists(st.sampled_from(ids), min_size=2, max_size=2),
+                             max_size=2 * len(ids)))
+
+    return {"atoms": ["p"], "worlds": [{"id": w, "true_atoms": []} for w in ids],
+            "plausibility": generators(), "desirability": generators()}
+
+
+def closed_orders(doc):
+    """Each loaded order with its closed pair set from warshall."""
+    m = md.load_model(doc)
+    return [(m.order(tag), warshall(m.worlds, map(tuple, doc[field])))
+            for tag, field in (("P", "plausibility"), ("D", "desirability"))]
+
+
+class TestDownFirstLoad:
+    @settings(max_examples=150)
+    @given(generator_documents())
+    def test_rows_match_the_warshall_closure(self, doc):
+        for order, closed in closed_orders(doc):
+            ids = order.carrier
+            assert {u: row_members(r, ids) for u, r in order.down_rows().items()} == {
+                u: {w for w in ids if (w, u) in closed} for u in ids}
+            assert {u: row_members(r, ids)
+                    for u, r in order.down_rows(strict=True).items()} == {
+                u: {w for w in ids if (w, u) in closed and (u, w) not in closed}
+                for u in ids}
+            assert {w: row_members(r, ids) for w, r in order.up_rows().items()} == {
+                w: {u for u in ids if (w, u) in closed} for w in ids}
+
+    @settings(max_examples=150)
+    @given(generator_documents(), st.randoms(use_true_random=False))
+    def test_restrict_ignores_whether_up_rows_were_read(self, doc, rng):
+        unread, read = closed_orders(doc), closed_orders(doc)
+        for (a, closed), (b, _) in zip(unread, read):
+            b.up_rows()
+            keep = frozenset(rng.sample(sorted(a.carrier), k=rng.randint(0, len(a.carrier))))
+            ra, rb = a.restrict(keep), b.restrict(keep)
+            assert ra == rb
+            assert dict(ra.down_rows()) == dict(rb.down_rows())
+            assert dict(ra.down_rows(strict=True)) == dict(rb.down_rows(strict=True))
+            assert dict(ra.up_rows()) == dict(rb.up_rows())
+            assert ra.pairs == {(w, u) for w, u in closed if w in keep and u in keep}
+
+    @settings(max_examples=150)
+    @given(generator_documents())
+    def test_equals_the_order_built_from_closed_up_rows(self, doc):
+        for order, closed in closed_orders(doc):
+            up = {w: sum(1 << u for u in order.carrier if (w, u) in closed)
+                  for w in order.carrier}
+            eager = md.Preorder(order.carrier, up)
+            assert order == eager and eager == order
+            assert hash(order) == hash(eager)
+            assert order._lazy_up is None  # comparing read no up rows
+
+
+CHAIN_MODEL = pathlib.Path(__file__).parent / "fixtures" / "chain_model.json"
+
+
+class TestTransposeTraffic:
+    """Which commands transpose: only code that reads up rows pays for one."""
+
+    @pytest.fixture
+    def transposed(self, monkeypatch):
+        calls = []
+        transpose = md._transpose
+
+        def recording_transpose(carrier, rows):
+            calls.append(dict(rows))
+            return transpose(carrier, rows)
+
+        monkeypatch.setattr(md, "_transpose", recording_transpose)
+        return calls
+
+    @pytest.mark.parametrize("argv", [["eval", "--formula", "B(p)"], ["extract"]])
+    def test_down_row_commands_transpose_nothing(self, transposed, capsys, argv):
+        assert cli.main([argv[0], "--model", str(CHAIN_MODEL), *argv[1:]]) in (0, 1)
+        assert capsys.readouterr().err == ""
+        assert transposed == []
+
+    def test_upgrade_transposes_only_its_order(self, transposed, capsys):
+        m = md.load_model(json.loads(CHAIN_MODEL.read_text()))
+        assert m.plausibility.down_rows() != m.desirability.down_rows()
+        assert cli.main(["eval", "--model", str(CHAIN_MODEL),
+                         "--formula", "[up_P p](B(p))"]) in (0, 1)
+        assert capsys.readouterr().err == ""
+        assert transposed == [dict(m.plausibility.down_rows())]
