@@ -38,11 +38,13 @@ def upgrade(m: md.AgentModel, target: str, phi: fm.Formula) -> md.AgentModel:
     """
     sat = md.satisfying_worlds(phi, m.worlds, m.valuation)
     old = m.order(target)
-    rows, cols = old.up_rows(), old.down_rows()
-    top, rest = md.mask(sat), md.mask(m.worlds - sat)
-    up = {w: rows[w] | rest if w in sat else rows[w] & rest for w in m.worlds}
+    cols, scols = old.down_rows(), old.down_rows(strict=True)
+    top = md.mask(sat)
+    # a phi-world keeps what lay (strictly) below it in the phi zone; every
+    # other world also gets the whole phi zone strictly below it
     down = {u: cols[u] & top if u in sat else cols[u] | top for u in m.worlds}
-    return m.with_order(target, md.Preorder._of_rows(m.worlds, up, down))
+    strict = {u: scols[u] & top if u in sat else scols[u] | top for u in m.worlds}
+    return m.with_order(target, md.Preorder._of_down(m.worlds, down, strict))
 
 
 def contract(m: md.AgentModel, target: str, phi: fm.Formula) -> md.AgentModel:
@@ -56,11 +58,13 @@ def contract(m: md.AgentModel, target: str, phi: fm.Formula) -> md.AgentModel:
     min_all = old.min_set(m.worlds)
     min_counter = old.min_set(counter)
     bottom = min_all | min_counter
-    rows, cols = old.up_rows(), old.down_rows()
-    full, keep, low = md.mask(m.worlds), ~md.mask(min_counter), md.mask(bottom)
-    up = {w: full if w in bottom else rows[w] & keep for w in m.worlds}
+    cols, scols = old.down_rows(), old.down_rows(strict=True)
+    low = md.mask(bottom)
     down = {u: low if u in min_counter else cols[u] | low for u in m.worlds}
-    return m.with_order(target, md.Preorder._of_rows(m.worlds, up, down))
+    # the promoted minima lie below every world, so nothing lies strictly
+    # below them; they lie strictly below every other world
+    strict = {u: 0 if u in bottom else scols[u] | low for u in m.worlds}
+    return m.with_order(target, md.Preorder._of_down(m.worlds, down, strict))
 
 
 def product_update(m: md.AgentModel, lib: pl.PlanLibrary,

@@ -519,70 +519,88 @@ def parse(text: str) -> Formula:
 _LVL_IMP, _LVL_OR, _LVL_AND, _LVL_PREFIX = 1, 2, 3, 4
 
 
-def render(f: Formula) -> str:
-    """Render to concrete syntax; parse(render(f)) is structurally equal to f."""
-    return _rend(f, _LVL_IMP, False)
+def render(f: Formula, memo: Optional[dict] = None) -> str:
+    """Render to concrete syntax; parse(render(f)) is structurally equal to f.
+
+    memo is a table the caller owns when rendering many formulas that share
+    sub-formula objects, such as the nodes of an extracted graph: each
+    shared sub-formula is then rendered once per context, so the cost grows
+    with the formula DAG rather than the tree. It maps a sub-formula's id,
+    precedence level and bar guard to the sub-formula and its text; holding
+    the sub-formula keeps its id from being reused while the table lives.
+    """
+    return _rend(f, _LVL_IMP, False, {} if memo is None else memo)
 
 
 def _paren_if(text: str, level: int, min_level: int) -> str:
     return f"({text})" if level < min_level else text
 
 
-def _rend(f: Formula, min_level: int, bar_guard: bool) -> str:
+def _rend(f: Formula, min_level: int, bar_guard: bool, memo: dict) -> str:
+    # The table is read here rather than in a wrapper, so each nesting level
+    # costs one stack frame and long chains stay within the recursion limit.
     if isinstance(f, Atom):
         return f.name
     if isinstance(f, Top):
         return "T"
     if isinstance(f, Bottom):
         return "F"
+    key = (id(f), min_level, bar_guard)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit[1]
     if isinstance(f, Implies):
         # right-associative; a bare '|' in either side of an unparenthesised
         # implication would still sit at separator level, so the guard flows on
-        left = _rend(f.left, _LVL_OR, bar_guard)
-        right = _rend(f.right, _LVL_IMP, bar_guard)
-        return _paren_if(f"{left} -> {right}", _LVL_IMP, min_level)
-    if isinstance(f, Or):
-        text = f"{_rend(f.left, _LVL_OR, bar_guard)} | {_rend(f.right, _LVL_AND, bar_guard)}"
-        if bar_guard:
-            return f"({text})"
-        return _paren_if(text, _LVL_OR, min_level)
-    if isinstance(f, And):
-        text = f"{_rend(f.left, _LVL_AND, False)} & {_rend(f.right, _LVL_PREFIX, False)}"
-        return _paren_if(text, _LVL_AND, min_level)
-    if isinstance(f, Not):
-        return f"~{_rend(f.child, _LVL_PREFIX, False)}"
-    if isinstance(f, A):
-        return f"A {_rend(f.child, _LVL_PREFIX, False)}"
-    if isinstance(f, E):
-        return f"E {_rend(f.child, _LVL_PREFIX, False)}"
-    if isinstance(f, Box):
+        left = _rend(f.left, _LVL_OR, bar_guard, memo)
+        right = _rend(f.right, _LVL_IMP, bar_guard, memo)
+        text = _paren_if(f"{left} -> {right}", _LVL_IMP, min_level)
+    elif isinstance(f, Or):
+        text = (f"{_rend(f.left, _LVL_OR, bar_guard, memo)} | "
+                f"{_rend(f.right, _LVL_AND, bar_guard, memo)}")
+        text = f"({text})" if bar_guard else _paren_if(text, _LVL_OR, min_level)
+    elif isinstance(f, And):
+        text = (f"{_rend(f.left, _LVL_AND, False, memo)} & "
+                f"{_rend(f.right, _LVL_PREFIX, False, memo)}")
+        text = _paren_if(text, _LVL_AND, min_level)
+    elif isinstance(f, Not):
+        text = f"~{_rend(f.child, _LVL_PREFIX, False, memo)}"
+    elif isinstance(f, A):
+        text = f"A {_rend(f.child, _LVL_PREFIX, False, memo)}"
+    elif isinstance(f, E):
+        text = f"E {_rend(f.child, _LVL_PREFIX, False, memo)}"
+    elif isinstance(f, Box):
         op = f"[<{f.order}]" if f.strict else f"[<={f.order}]"
-        return f"{op} {_rend(f.child, _LVL_PREFIX, False)}"
-    if isinstance(f, Diamond):
+        text = f"{op} {_rend(f.child, _LVL_PREFIX, False, memo)}"
+    elif isinstance(f, Diamond):
         op = f"<<{f.order}>>" if f.strict else f"<<={f.order}>>"
-        return f"{op} {_rend(f.child, _LVL_PREFIX, False)}"
-    if isinstance(f, Mu):
-        return f"mu_{f.order} {_rend(f.child, _LVL_PREFIX, False)}"
-    if isinstance(f, (Bel, Goal, AdmInt, Int)):
+        text = f"{op} {_rend(f.child, _LVL_PREFIX, False, memo)}"
+    elif isinstance(f, Mu):
+        text = f"mu_{f.order} {_rend(f.child, _LVL_PREFIX, False, memo)}"
+    elif isinstance(f, (Bel, Goal, AdmInt, Int)):
         head = {Bel: "B", Goal: "G", AdmInt: "AdmInt", Int: "Int"}[type(f)]
-        consequent = _rend(f.consequent, _LVL_IMP, True)
+        consequent = _rend(f.consequent, _LVL_IMP, True, memo)
         if f.condition == Top():
-            return f"{head}({consequent})"
-        return f"{head}({consequent}|{_rend(f.condition, _LVL_IMP, False)})"
-    if isinstance(f, DynMod):
-        arg = _rend(f.argument, _LVL_IMP, False)
+            text = f"{head}({consequent})"
+        else:
+            text = f"{head}({consequent}|{_rend(f.condition, _LVL_IMP, False, memo)})"
+    elif isinstance(f, DynMod):
+        arg = _rend(f.argument, _LVL_IMP, False, memo)
         if f.op == "announce":
             head = f"[!{arg}]"
         elif f.op == "upgrade":
             head = f"[up_{f.order} {arg}]"
         else:
             head = f"[drop_{f.order} {arg}]"
-        return f"{head} {_rend(f.body, _LVL_PREFIX, False)}"
-    if isinstance(f, PlanMod):
-        return f"[{f.plan}] {_rend(f.body, _LVL_PREFIX, False)}"
-    if isinstance(f, Intends):
-        return f"I({f.plan})"
-    raise FormulaError(f"cannot render {f!r}")
+        text = f"{head} {_rend(f.body, _LVL_PREFIX, False, memo)}"
+    elif isinstance(f, PlanMod):
+        text = f"[{f.plan}] {_rend(f.body, _LVL_PREFIX, False, memo)}"
+    elif isinstance(f, Intends):
+        text = f"I({f.plan})"
+    else:
+        raise FormulaError(f"cannot render {f!r}")
+    memo[key] = (f, text)
+    return text
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ preorder built from up rows gets its down rows, and a loaded one its up
 rows, from one word-parallel bit-matrix transpose, Warren's block swap
 over the rows packed into one int. A carrier whose ids spread far wider
 than its size is transposed over its worlds' ranks and spread back to
-ids, so the matrix stays about the carrier's size. Restriction, upgrade
-and contraction derive their row sets directly and transpose nothing.
+ids, so the matrix stays about the carrier's size. Restriction derives
+its row sets directly, upgrade and contraction derive down rows and strict
+down rows from the old ones, and the reduction a document is written from
+reads down rows only, so none of them transposes.
 """
 
 from __future__ import annotations
@@ -259,9 +261,10 @@ class Preorder:
     which takes generator pairs and closes them reflexively-transitively.
 
     An order built from up rows holds both row sets from the start. An
-    order closed from pairs is down-first: it holds its down rows and
-    strict down rows, and transposes its up rows once, on their first read.
-    Down sets, minima, le, pairs, equality and hashing read down rows only.
+    order closed from pairs, upgraded or contracted is down-first: it holds
+    its down rows and strict down rows, and transposes its up rows once, on
+    their first read. Down sets, minima, le, pairs, the reduction, equality
+    and hashing read down rows only.
     """
 
     __slots__ = ("carrier", "_down", "_sdown", "_lazy_up")
@@ -381,24 +384,26 @@ class Preorder:
         (C' strictly above C, no class in between), [min C, min C'] links
         them. Reflexive pairs are left out.
 
-        A class minimum's covers are the class minima strictly above it,
-        less everything strictly above any of those; the OR over their rows
-        runs at C speed.
+        Only down rows are read. The classes a class covers are found from
+        above: a class minimum's lower covers are the class minima strictly
+        below it, less everything strictly below any of those; the OR over
+        their rows runs at C speed.
         """
-        up, down = self._up, self._down
-        ties = {w: up[w] & down[w] for w in self.carrier}
+        down, sdown = self._down, self._sdown
+        ties = {w: down[w] & ~sdown[w] for w in self.carrier}
         minima = [w for w, t in ties.items() if t & -t == 1 << w]
-        above = {w: up[w] & ~down[w] for w in minima}
         out = dict.fromkeys(self.carrier, 0)
         for w, t in ties.items():
             if t != 1 << w:
                 later = t >> (w + 1) << (w + 1)
                 out[w] = later & -later or t & -t  # next member, or wrap to c0
         heads = mask(minima)
-        for w in minima:
-            s = above[w] & heads
+        for u in minima:
+            s = sdown[u] & heads
             if s:
-                out[w] |= s & ~reduce(or_, map(above.__getitem__, _set_bits(s)))
+                bit = 1 << u
+                for w in _set_bits(s & ~reduce(or_, map(sdown.__getitem__, _set_bits(s)))):
+                    out[w] |= bit
         pairs: list[list[WorldId]] = []
         for w in sorted(self.carrier):
             if out[w]:

@@ -55,20 +55,23 @@ def make_graph(nodes: Iterable[fm.Formula],
     occurrence; a priority cycle is rejected (the order must stay strict).
     Nodes are told apart by their rendered text, which parse inverts:
     comparing a long user-written chain such as p | p | ... | p as
-    dataclasses would recurse once per operand.
+    dataclasses would recurse once per operand. Nodes and edge endpoints
+    are rendered through one table, so an endpoint that is a node object
+    is a lookup.
     """
     seen: list[fm.Formula] = []
     index: dict[str, int] = {}
+    memo: dict = {}
     for n in nodes:
         if not fm.is_propositional(n):
-            raise GraphError(f"non-propositional node: {fm.render(n)}")
-        key = fm.render(n)
+            raise GraphError(f"non-propositional node: {fm.render(n, memo)}")
+        key = fm.render(n, memo)
         if key not in index:
             index[key] = len(seen)
             seen.append(n)
     below = [0] * len(seen)  # bit j of below[i]: node i outranks node j
     for hi, lo in prec:
-        i, j = index.get(fm.render(hi)), index.get(fm.render(lo))
+        i, j = index.get(fm.render(hi, memo)), index.get(fm.render(lo, memo))
         if i is None or j is None:
             raise GraphError("priority edge mentions a formula outside the node set")
         below[i] |= 1 << j
@@ -79,7 +82,7 @@ def make_graph(nodes: Iterable[fm.Formula],
                     below[i] = row | below[k]
     for i, row in enumerate(below):
         if row >> i & 1:
-            raise GraphError(f"priority cycle through {fm.render(seen[i])}")
+            raise GraphError(f"priority cycle through {fm.render(seen[i], memo)}")
     return PriorityGraph(tuple(seen), frozenset(
         (seen[i], seen[j]) for i, row in enumerate(below) if row
         for j in range(len(seen)) if row >> j & 1))
@@ -352,19 +355,23 @@ def load_program(doc: dict) -> AgentProgram:
     return ag
 
 
-def dump_graph(g: PriorityGraph) -> dict:
+def dump_graph(g: PriorityGraph, memo: Optional[dict] = None) -> dict:
+    """Graph document of g. Its nodes are rendered through one table (see
+    fm.render), so a sub-tree that extracted nodes share is rendered once."""
+    memo = {} if memo is None else memo
     index = _edge_index(g)
     return {
-        "nodes": [fm.render(n) for n in g.nodes],
+        "nodes": [fm.render(n, memo) for n in g.nodes],
         "edges": sorted([index[a], index[b]] for (a, b) in g.prec),
     }
 
 
 def dump_program(ag: AgentProgram) -> dict:
+    memo: dict = {}
     return {
         "atoms": list(ag.atoms),
-        "K": [fm.render(f) for f in ag.knowledge],
-        "B": dump_graph(ag.beliefs),
-        "D": dump_graph(ag.desires),
+        "K": [fm.render(f, memo) for f in ag.knowledge],
+        "B": dump_graph(ag.beliefs, memo),
+        "D": dump_graph(ag.desires, memo),
         "I": sorted(ag.intentions),
     }

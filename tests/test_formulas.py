@@ -1,10 +1,34 @@
+import dataclasses
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mindcheck import formulas as fm
 from mindcheck import plans as pl
 
 import strategies as gen
+
+
+def unshared(f):
+    """A structurally equal copy of f in which no object occurs twice."""
+    return type(f)(*(unshared(v) if dataclasses.is_dataclass(v) else v
+                     for v in (getattr(f, x.name) for x in dataclasses.fields(f))))
+
+
+@st.composite
+def shared_contexts(draw):
+    """Formulas that hold one sub-formula object in several render contexts:
+    left of '|', right of '&', on either side of '->', under '~', and in
+    both the consequent and the condition of B(...), bare and inside a
+    disjunction."""
+    s = draw(gen.formulas(max_depth=3))
+    other = draw(gen.formulas(max_depth=2))
+    contexts = [fm.Or(s, other), fm.And(other, s), fm.Implies(s, other),
+                fm.Implies(other, s), fm.Not(s), fm.Bel(s, s),
+                fm.Bel(fm.Or(other, s), fm.Implies(s, other))]
+    return draw(st.lists(st.sampled_from(contexts), min_size=1, max_size=8))
 
 
 def lib_ab():
@@ -119,6 +143,19 @@ class TestRender:
     @given(gen.formulas(max_depth=6))
     def test_round_trip(self, f):
         assert fm.parse(fm.render(f)) == f
+
+    @settings(max_examples=300)
+    @given(shared_contexts())
+    def test_shared_table_keeps_text(self, fs):
+        whole = reduce(fm.And, fs)
+        memo = {}
+        shared = [fm.render(f, memo) for f in fs + [whole]]
+        assert shared == [fm.render(unshared(f)) for f in fs + [whole]]
+        assert fm.parse(shared[-1]) == whole
+
+    def test_long_flat_chain_renders(self):
+        text = " | ".join(["p"] * 900)
+        assert fm.render(fm.parse(text)) == text
 
 
 class TestDesugar:

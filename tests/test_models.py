@@ -511,6 +511,27 @@ class TestTranspose:
         assert_down_rows_transpose_up_rows(o)
 
 
+class TestDownOnlyRewrites:
+    """Upgrade and contraction build down rows and strict down rows from
+    the old down rows alone, and leave the up rows to their first read."""
+
+    @settings(max_examples=300)
+    @given(sparse_models(), gen.prop_formulas(), gen.order_tags(), st.booleans())
+    def test_match_their_pair_definitions(self, m, phi, tag, is_upgrade):
+        old = m.order(tag)
+        sat = md.satisfying_worlds(phi, m.worlds, m.valuation)
+        if is_upgrade:
+            got = dynamics.upgrade(m, tag, phi).order(tag)
+            expected = oracles.upgrade_pairs(m.worlds, old.pairs, sat)
+        else:
+            got = dynamics.contract(m, tag, phi).order(tag)
+            expected = oracles.contract_pairs(m.worlds, old.pairs, m.worlds - sat)
+        assert got.pairs == expected
+        assert got.strict_pairs() == oracles.strict(expected)
+        assert got.reduction_pairs() == canonical_reduction(m.worlds, expected)
+        assert old._lazy_up is None and got._lazy_up is None
+
+
 class TestMirroredRows:
     @settings(max_examples=200)
     @given(sparse_models(), gen.prop_formulas(), gen.order_tags())
@@ -658,10 +679,14 @@ class TestTransposeTraffic:
         assert capsys.readouterr().err == ""
         assert transposed == []
 
-    def test_upgrade_transposes_only_its_order(self, transposed, capsys):
-        m = md.load_model(json.loads(CHAIN_MODEL.read_text()))
-        assert m.plausibility.down_rows() != m.desirability.down_rows()
+    def test_rewrites_and_dumps_transpose_nothing(self, transposed, capsys, tmp_path):
+        script = tmp_path / "rewrite.script"
+        script.write_text("upgrade P p\ncontract D q\nupgrade D ~p\ncontract P p\n")
+        out = tmp_path / "final.json"
+        assert cli.main(["trace", "--model", str(CHAIN_MODEL), "--script", str(script),
+                         "--out", str(out)]) == 0
         assert cli.main(["eval", "--model", str(CHAIN_MODEL),
-                         "--formula", "[up_P p](B(p))"]) in (0, 1)
+                         "--formula", "[up_P p]([drop_D q](B(p) & G(q)))"]) in (0, 1)
         assert capsys.readouterr().err == ""
-        assert transposed == [dict(m.plausibility.down_rows())]
+        assert transposed == []
+        assert md.load_model(json.loads(out.read_text())).worlds == frozenset(range(4))

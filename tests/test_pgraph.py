@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mindcheck import formulas as fm
 from mindcheck import models as md
@@ -77,6 +78,17 @@ class TestInducedOrder:
     def test_non_propositional_node_rejected(self):
         with pytest.raises(pg.GraphError):
             pg.make_graph([fm.A(P)])
+
+    @settings(max_examples=100)
+    @given(st.lists(gen.prop_formulas(("p", "q", "r", "s"), max_depth=3),
+                    min_size=1, max_size=10).flatmap(lambda pool: st.lists(
+                        st.sampled_from([fm.render(f) for f in pool]), max_size=40)))
+    def test_fresh_formulas_from_a_generator(self, texts):
+        # Dropped duplicates are freed at once, so a later formula may get
+        # the id of one already rendered; the render table must not mistake
+        # it for that one.
+        expected = pg.make_graph([fm.parse(t) for t in texts])
+        assert pg.make_graph(fm.parse(t) for t in texts) == expected
 
     @settings(max_examples=250)
     @given(gen.priority_graphs(names=("p", "q")))
