@@ -160,15 +160,17 @@ def graph_upgrade(g: pg.PriorityGraph, phi: fm.Formula) -> pg.PriorityGraph:
 
     An existing copy of phi is moved rather than duplicated: its old edges
     are dropped (prec is transitively closed, so no compensation path is
-    lost) and phi re-enters outranking everything.
+    lost) and phi re-enters outranking everything. The other nodes move one
+    position down, and their edges with them.
     """
     if not fm.is_propositional(phi):
         raise pg.GraphError(f"non-propositional node: {fm.render(phi)}")
-    rest = tuple(n for n in g.nodes if n != phi)
+    kept = [i for i, n in enumerate(g.nodes) if n != phi]
+    moved = {i: new for new, i in enumerate(kept, 1)}
     prec = frozenset(
-        (a, b) for (a, b) in g.prec if a != phi and b != phi
-    ) | frozenset((phi, n) for n in rest)
-    return pg.PriorityGraph((phi,) + rest, prec)
+        (moved[a], moved[b]) for (a, b) in g.prec if a in moved and b in moved
+    ) | frozenset((0, j) for j in moved.values())
+    return pg.PriorityGraph((phi,) + tuple(g.nodes[i] for i in kept), prec)
 
 
 def graph_contract(ag: pg.AgentProgram, target: str, phi: fm.Formula,
@@ -178,6 +180,8 @@ def graph_contract(ag: pg.AgentProgram, target: str, phi: fm.Formula,
     No direct graph surgery is available for natural contraction, so the
     induced order is contracted and a fresh graph extracted from the result;
     induced-program worlds have injective valuations, which extraction needs.
+    A contracted total order stays total, so its graph is the rank-bit
+    chain, ceil(log2 k) nodes for k tie classes.
     """
     if target not in ("B", "D"):
         raise pg.ProgramError("bad-target", f"graph_contract target {target!r}")

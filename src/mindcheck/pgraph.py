@@ -6,11 +6,16 @@ every graph formula, w matches w' or compensates the loss with a win on a
 strictly higher-priority formula. Agent programs pair two graphs (belief
 and desire) with a knowledge set and adopted plans, and induce a practical
 agent model over the knowledge-consistent valuations.
+
+The converse direction, extract_graph, turns an order of a model back into
+a graph: a total preorder becomes a ranked chain of rank-bit nodes, any
+other order an antichain with one node per distinct down-set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -36,23 +41,22 @@ class ProgramError(Exception):
 class PriorityGraph:
     """Propositional formulas under a strict partial priority order.
 
-    prec contains (higher, lower) pairs, kept transitively closed; a formula
-    beats another when it appears first in such a pair.
+    prec holds (i, j) pairs of positions in nodes, kept transitively closed:
+    node i outranks node j. Edges are positions, so building or reading one
+    never hashes a formula.
     """
 
     nodes: tuple[fm.Formula, ...]
-    prec: frozenset[tuple[fm.Formula, fm.Formula]]
-
-    def outranks(self, phi: fm.Formula, psi: fm.Formula) -> bool:
-        return (phi, psi) in self.prec
+    prec: frozenset[tuple[int, int]]
 
 
 def make_graph(nodes: Iterable[fm.Formula],
                prec: Iterable[tuple[fm.Formula, fm.Formula]] = ()) -> PriorityGraph:
     """Validate and transitively close a priority graph.
 
-    Nodes must be propositional; duplicates are dropped keeping first
-    occurrence; a priority cycle is rejected (the order must stay strict).
+    prec lists (higher, lower) formula pairs. Nodes must be propositional;
+    duplicates are dropped keeping first occurrence; a priority cycle is
+    rejected (the order must stay strict).
     Nodes are told apart by their rendered text, which parse inverts:
     comparing a long user-written chain such as p | p | ... | p as
     dataclasses would recurse once per operand. Nodes and edge endpoints
@@ -84,17 +88,8 @@ def make_graph(nodes: Iterable[fm.Formula],
         if row >> i & 1:
             raise GraphError(f"priority cycle through {fm.render(seen[i], memo)}")
     return PriorityGraph(tuple(seen), frozenset(
-        (seen[i], seen[j]) for i, row in enumerate(below) if row
+        (i, j) for i, row in enumerate(below) if row
         for j in range(len(seen)) if row >> j & 1))
-
-
-def _edge_index(g: PriorityGraph) -> dict[fm.Formula, int]:
-    """Positions of the nodes that appear on an edge.
-
-    Only these nodes are hashed: extracted graphs have no edges, and a long
-    user-written chain would recurse through the dataclass __hash__.
-    """
-    return {n: g.nodes.index(n) for edge in g.prec for n in edge}
 
 
 def induced_order(g: PriorityGraph, worlds: Iterable[md.WorldId],
@@ -107,10 +102,9 @@ def induced_order(g: PriorityGraph, worlds: Iterable[md.WorldId],
     higher psi that holds at w holds at w' too.
     """
     worlds = frozenset(worlds)
-    index = _edge_index(g)
     higher: list[list[int]] = [[] for _ in g.nodes]
     for hi, lo in g.prec:
-        higher[index[lo]].append(index[hi])
+        higher[lo].append(hi)
     sat = [md.mask(md.satisfying_worlds(n, worlds, valuation)) for n in g.nodes]
     full = md.mask(worlds)
     up = {}
@@ -130,12 +124,21 @@ def induced_order(g: PriorityGraph, worlds: Iterable[md.WorldId],
 def extract_graph(m: md.AgentModel, tag: str) -> PriorityGraph:
     """A priority graph whose induced order reproduces m.order(tag) exactly.
 
-    Uses the antichain of down-set formulas: one node per distinct down-set
-    {u | u <= w}, true exactly at the valuations of its worlds. Requires
-    distinct worlds to have distinct valuations, since worlds are picked out
-    by their valuations. Each node is the reduced Shannon decision tree of
-    its down-set over the atoms in sorted order (Bryant 1986), built once
-    per distinct sub-table and shared between nodes.
+    The order is total exactly when its distinct down-sets {u | u <= w},
+    sorted by size, are nested. A total order with k tie classes becomes
+    the ranked rank-bit graph (Andreka, Ryan & Schobbens 2002): the class
+    with the i-th smallest down-set gets the value k-1-i, node j holds the
+    worlds whose value has bit j set, the nodes run from the most
+    significant bit down, and each outranks every later one, so the
+    lexicographic order on the bits is the numeric order of the values.
+    That is ceil(log2 k) nodes, none for k <= 1. Any other order becomes
+    the antichain of down-set formulas: one node per distinct down-set, in
+    the order of its first world's valuation bits, and no edges.
+
+    Nodes are true exactly at the valuations of their worlds, so distinct
+    worlds must have distinct valuations. Each node is the reduced Shannon
+    decision tree of its world set over the atoms in sorted order (Bryant
+    1986), built once per distinct sub-table and shared between nodes.
     """
     if len(m.atoms) > MAX_PROGRAM_ATOMS:
         raise GraphError(f"extract supports at most {MAX_PROGRAM_ATOMS} atoms, "
@@ -149,7 +152,7 @@ def extract_graph(m: md.AgentModel, tag: str) -> PriorityGraph:
         by_val[bits] = w
     # A truth table is an int with bit c set when the valuation whose code is
     # c lies in the set; a code reads the atoms in sorted order, first atom
-    # highest. pick maps a down row rendered one character per world id
+    # highest. pick maps a world row rendered one character per world id
     # (plus a leading '0' for codes no world has) to its table's digits.
     rank = sorted(range(len(m.atoms)), key=m.atoms.__getitem__)
     atoms = [m.atoms[i] for i in rank]
@@ -161,14 +164,32 @@ def extract_graph(m: md.AgentModel, tag: str) -> PriorityGraph:
     pick = itemgetter(*slots)
     fmt = f"0{width + 1}b"
     tree = _decision_trees(atoms)
-    nodes: list[fm.Formula] = []
-    seen: set[int] = set()  # a node is fixed by its down-set: dedupe by row
+
+    def node(row: int) -> fm.Formula:
+        return tree(int("".join(pick(format(row, fmt))), 2))
+
     down = m.order(tag).down_rows()
+    chain = sorted(set(down.values()), key=int.bit_count)
+    if all(lo & ~hi == 0 for lo, hi in zip(chain, chain[1:])):
+        # chain[k-1-v] holds the worlds of value v or more. Bit j of a value
+        # flips at each multiple of 2^j, so XOR-ing those rows leaves the
+        # worlds whose value has bit j set.
+        k = len(chain)
+        nodes = []
+        for j in reversed(range(max(k - 1, 0).bit_length())):
+            row = 0
+            for v in range(1 << j, k, 1 << j):
+                row ^= chain[k - 1 - v]
+            nodes.append(node(row))
+        return PriorityGraph(tuple(nodes),
+                             frozenset(combinations(range(len(nodes)), 2)))
+    nodes = []
+    seen: set[int] = set()  # a node is fixed by its down-set: dedupe by row
     for bits in sorted(by_val):
         row = down[by_val[bits]]
         if row not in seen:
             seen.add(row)
-            nodes.append(tree(int("".join(pick(format(row, fmt))), 2)))
+            nodes.append(node(row))
     return PriorityGraph(tuple(nodes), frozenset())
 
 
@@ -295,19 +316,37 @@ def _parse_prop(text: str, what: str) -> fm.Formula:
     return f
 
 
+def _strings(value, reason: str, what: str) -> list:
+    """A document field that must list strings."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ProgramError(reason, f"{what} must be a list of strings, got {value!r}")
+    return value
+
+
+def _ints(value) -> bool:
+    """Whether value is a list of ints (bools excluded)."""
+    return isinstance(value, list) and all(type(x) is int for x in value)
+
+
 def load_graph(doc: dict, what: str) -> PriorityGraph:
     """Graph document: nodes plus either explicit edges or integer ranks.
 
     edges [i, j] reads "node i outranks node j"; ranks compile lower rank to
-    higher priority.
+    higher priority. A malformed field is a bad-graph error that names it;
+    a graph that is no object at all is a malformed program field.
     """
-    node_texts = doc.get("nodes", [])
+    if not isinstance(doc, dict):
+        raise ProgramError("bad-program", f"{what} must be a graph object, got {doc!r}")
+    node_texts = _strings(doc.get("nodes", []), "bad-graph", f"{what}.nodes")
     nodes = [_parse_prop(t, f"{what} node") for t in node_texts]
     if "edges" in doc and "ranks" in doc:
         raise ProgramError("bad-graph", f"{what}: give edges or ranks, not both")
     prec: list[tuple[fm.Formula, fm.Formula]] = []
     if "ranks" in doc:
         ranks = doc["ranks"]
+        if not _ints(ranks):
+            raise ProgramError("bad-graph",
+                               f"{what}.ranks must be a list of integers, got {ranks!r}")
         if len(ranks) != len(nodes):
             raise ProgramError("bad-graph", f"{what}: one rank per node required")
         prec = [
@@ -316,7 +355,15 @@ def load_graph(doc: dict, what: str) -> PriorityGraph:
             if ranks[i] < ranks[j]
         ]
     else:
-        for i, j in doc.get("edges", []):
+        edges = doc.get("edges", [])
+        if not isinstance(edges, list):
+            raise ProgramError("bad-graph",
+                               f"{what}.edges must be a list of edges, got {edges!r}")
+        for edge in edges:
+            if not (_ints(edge) and len(edge) == 2):
+                raise ProgramError("bad-graph",
+                                   f"{what}.edges: {edge!r} is not two node indices")
+            i, j = edge
             if not (0 <= i < len(nodes) and 0 <= j < len(nodes)):
                 raise ProgramError("bad-graph", f"{what}: edge [{i},{j}] out of range")
             prec.append((nodes[i], nodes[j]))
@@ -327,11 +374,17 @@ def load_graph(doc: dict, what: str) -> PriorityGraph:
 
 
 def load_program(doc: dict) -> AgentProgram:
-    """Program document: {atoms, K, B, D, I}; checks K consistency on load."""
-    try:
-        atoms = tuple(doc["atoms"])
-    except (KeyError, TypeError) as exc:
-        raise ProgramError("bad-program", f"missing field: {exc}") from exc
+    """Program document: {atoms, K, B, D, I}; checks K consistency on load.
+
+    A malformed program field is a bad-program error that names it, and a
+    malformed field inside the B or D graph a bad-graph error.
+    """
+    if not isinstance(doc, dict):
+        raise ProgramError("bad-program",
+                           f"a program must be an object, got {type(doc).__name__}")
+    if "atoms" not in doc:
+        raise ProgramError("bad-program", "missing field: 'atoms'")
+    atoms = tuple(_strings(doc["atoms"], "bad-program", "atoms"))
     if len(set(atoms)) != len(atoms):
         raise ProgramError("bad-program", "duplicate atom names")
     for a in atoms:
@@ -339,10 +392,11 @@ def load_program(doc: dict) -> AgentProgram:
             fm.Atom(a)
         except fm.FormulaError as exc:
             raise ProgramError("bad-program", str(exc)) from exc
-    knowledge = tuple(_parse_prop(t, "knowledge") for t in doc.get("K", []))
+    knowledge = tuple(_parse_prop(t, "knowledge")
+                      for t in _strings(doc.get("K", []), "bad-program", "K"))
     beliefs = load_graph(doc.get("B", {}), "B")
     desires = load_graph(doc.get("D", {}), "D")
-    intentions = frozenset(doc.get("I", []))
+    intentions = frozenset(_strings(doc.get("I", []), "bad-program", "I"))
     ag = AgentProgram(atoms, knowledge, beliefs, desires, intentions)
     known = set().union(*map(fm.atoms_of, knowledge + beliefs.nodes + desires.nodes))
     missing = known - set(atoms)
@@ -359,10 +413,9 @@ def dump_graph(g: PriorityGraph, memo: Optional[dict] = None) -> dict:
     """Graph document of g. Its nodes are rendered through one table (see
     fm.render), so a sub-tree that extracted nodes share is rendered once."""
     memo = {} if memo is None else memo
-    index = _edge_index(g)
     return {
         "nodes": [fm.render(n, memo) for n in g.nodes],
-        "edges": sorted([index[a], index[b]] for (a, b) in g.prec),
+        "edges": sorted(map(list, g.prec)),
     }
 
 

@@ -3,6 +3,8 @@
 Two atoms p, q; empty knowledge; beliefs prioritize q; desires prioritize p
 over q; one adopted plan alpha with trivial precondition achieving p.
 World ids are valuation masks: p is bit 0, q is bit 1.
+
+Also the ranked n-atom program of the scale sweep.
 """
 
 from mindcheck import formulas as fm
@@ -32,3 +34,15 @@ def running_program():
 
 def running_model():
     return pg.induce_program(running_program(), running_library())
+
+
+def ranked_program(n: int):
+    """Atoms a0 ... a(n-1), no knowledge, no intentions. The beliefs rank
+    every atom, a0 highest; the desires rank a0|a1, a1|a2, a2|a3 likewise."""
+    atoms = [f"a{i}" for i in range(n)]
+    desires = [f"a{i} | a{i + 1}" for i in range(min(3, n - 1))]
+    return pg.load_program({
+        "atoms": atoms,
+        "B": {"nodes": atoms, "ranks": list(range(n))},
+        "D": {"nodes": desires, "ranks": list(range(len(desires)))},
+    })

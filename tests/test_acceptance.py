@@ -327,6 +327,10 @@ EXIT_CODE_MATRIX = [
       "--formula", "~" * 3000 + "p"), 2),
     (("eval", "--model", "chain_model.json",
       "--formula", " | ".join(["p"] * 500)), 2),
+    *((("induce", "--program", f"{case}_program.json"), 2) for case in (
+        "edge_string_index", "edge_triple", "edge_bool", "edges_int",
+        "ranks_int", "ranks_string", "node_int", "nodes_string",
+        "graph_list", "intentions_int", "atoms_string", "knowledge_string")),
 ]
 
 

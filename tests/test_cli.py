@@ -189,11 +189,12 @@ class TestExtract:
             capsys, "extract", "--model", fx("chain_model.json"))
         assert code == 0
         doc = json.loads(out)
-        # nested down-sets of the plausibility chain give four nodes
-        assert len(doc["plausibility"]["nodes"]) == 4
-        assert doc["plausibility"]["edges"] == []
-        # the identity desirability order gives one formula per world
+        # the plausibility chain pq < p~q < ~pq < ~p~q has four tie classes,
+        # valued 3..0: two ranked rank-bit nodes, p (bit 1) over q (bit 0)
+        assert doc["plausibility"] == {"nodes": ["p", "q"], "edges": [[0, 1]]}
+        # the identity desirability order is not total: one formula per world
         assert len(doc["desirability"]["nodes"]) == 4
+        assert doc["desirability"]["edges"] == []
 
     def test_extraction_round_trips_through_induction(self, capsys):
         _, out, _ = run(capsys, "extract", "--model", fx("chain_model.json"))
@@ -210,6 +211,40 @@ class TestExtract:
             capsys, "extract", "--model", fx("duplicate_model.json"))
         assert code == 2
         assert "injective" in err
+
+
+class TestMalformedProgram:
+    """A malformed program field is bad-program, a malformed graph field
+    bad-graph; either names the field."""
+
+    @pytest.mark.parametrize("fixture, reason, field", [
+        ("edge_string_index", "bad-graph", "B.edges"),
+        ("edge_triple", "bad-graph", "B.edges"),
+        ("edge_bool", "bad-graph", "B.edges"),
+        ("edges_int", "bad-graph", "B.edges"),
+        ("ranks_int", "bad-graph", "D.ranks"),
+        ("ranks_string", "bad-graph", "D.ranks"),
+        ("node_int", "bad-graph", "B.nodes"),
+        ("nodes_string", "bad-graph", "B.nodes"),
+        ("graph_list", "bad-program", "B must"),
+        ("intentions_int", "bad-program", "I must"),
+        ("atoms_string", "bad-program", "atoms must"),
+        ("knowledge_string", "bad-program", "K must"),
+    ])
+    def test_reason_names_the_field(self, capsys, fixture, reason, field):
+        code, out, err = run(capsys, "induce", "--program",
+                             fx(f"{fixture}_program.json"), "--json")
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["reason"] == reason
+        assert error["detail"].startswith(field)
+
+    def test_program_that_is_no_object(self, capsys, tmp_path):
+        program = tmp_path / "program.json"
+        program.write_text("[]")
+        code, _, err = run(capsys, "induce", "--program", str(program))
+        assert code == 2
+        assert err.startswith("error: bad-program: a program must be an object")
 
 
 class TestCheck:
@@ -483,8 +518,13 @@ class TestTenAtomExtract:
         doc = json.loads(out)
         m = md.load_model(json.loads(model.read_text()))
         assert len(m.worlds) == 1024
+        # the ranked belief order is total: its graph is the program's own
+        # atoms, ranked; the three unordered desires give a partial order
+        edges = [[i, j] for i in range(10) for j in range(i + 1, 10)]
+        assert doc["plausibility"] == {"nodes": self.PROGRAM["B"]["nodes"],
+                                       "edges": edges}
+        assert doc["desirability"]["edges"] == []
         for tag in ("plausibility", "desirability"):
-            assert doc[tag]["edges"] == []
             graph = pg.load_graph(doc[tag], tag)
             induced = pg.induced_order(graph, m.worlds, m.valuation)
             assert induced == m.order(tag[0].upper())

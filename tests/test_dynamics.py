@@ -12,7 +12,7 @@ from mindcheck import plans as pl
 import generators
 import oracles
 import strategies as gen
-from common import running_library, running_model, running_program
+from common import ranked_program, running_library, running_model, running_program
 from generators import models_isomorphic
 
 P, Q = fm.Atom("p"), fm.Atom("q")
@@ -302,8 +302,8 @@ class TestGraphUpgrade:
         worlds, valuation = self.worlds_and_valuation()
         base = pg.make_graph([P, Q], [(P, Q)])
         g = dynamics.graph_upgrade(base, fm.Not(P))
-        assert g.nodes[0] == fm.Not(P)
-        assert g.outranks(fm.Not(P), P) and g.outranks(fm.Not(P), Q)
+        assert g.nodes == (fm.Not(P), P, Q)
+        assert g.prec == frozenset({(0, 1), (0, 2), (1, 2)})
         induced = pg.induced_order(g, worlds, valuation)
         m = md.AgentModel(
             ("p", "q"), worlds, pg.induced_order(base, worlds, valuation),
@@ -360,6 +360,22 @@ class TestGraphContract:
         assert not checker.holds(after, lib, fm.Goal(P, TOP))
         model_side = dynamics.contract(before, "D", P)
         assert models_isomorphic(after, model_side)
+
+    def test_ranked_belief_contraction_stays_program_sized(self):
+        # the contracted order is total, with 2^10 - 1 tie classes, so it
+        # extracts as 10 rank-bit nodes, not one node per class
+        ag = ranked_program(10)
+        a0 = fm.Atom("a0")
+        got = dynamics.graph_contract(ag, "B", a0, pl.EMPTY_LIBRARY)
+        assert len(got.beliefs.nodes) == 10
+        assert got.beliefs.prec == frozenset(
+            (i, j) for i in range(10) for j in range(i + 1, 10))
+        assert got.desires == ag.desires
+        graph_side = pg.induce_program(got, pl.EMPTY_LIBRARY)
+        model_side = dynamics.contract(
+            pg.induce_program(ag, pl.EMPTY_LIBRARY), "P", a0)
+        assert graph_side.plausibility == model_side.plausibility
+        assert graph_side.desirability == model_side.desirability
 
 
 class TestFilterIntentions:

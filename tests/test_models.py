@@ -384,14 +384,15 @@ class TestRowConstruction:
     @settings(max_examples=200)
     @given(sparse_models(), gen.priority_graphs())
     def test_induced_order_matches_pair_definition(self, m, g):
-        sat = {n: md.satisfying_worlds(n, m.worlds, m.valuation) for n in g.nodes}
+        sat = [md.satisfying_worlds(n, m.worlds, m.valuation) for n in g.nodes]
+        nodes = range(len(g.nodes))
 
         def le(w, u):
             return all(
                 u not in sat[phi] or w in sat[phi]
                 or any((psi, phi) in g.prec and w in sat[psi] and u not in sat[psi]
-                       for psi in g.nodes)
-                for phi in g.nodes)
+                       for psi in nodes)
+                for phi in nodes)
 
         expected = frozenset(
             (w, u) for w in m.worlds for u in m.worlds if le(w, u))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from mindcheck import plans as pl
 import generators
 import oracles
 import strategies as gen
+from common import ranked_program
 
 P, Q = fm.Atom("p"), fm.Atom("q")
 
@@ -130,8 +132,9 @@ class TestExtractGraph:
         m = md.AgentModel(("p", "q"), worlds, md.Preorder.identity(worlds),
                           order, valuation)
         g = pg.extract_graph(m, "D")
-        # the down-set {pq, p~q} is the p-worlds, so its node is just p
-        assert set(g.nodes) == {fm.parse("p & q"), fm.parse("p")}
+        # two tie classes: one rank-bit node, holding the better world pq
+        assert g.nodes == (fm.parse("p & q"),)
+        assert g.prec == frozenset()
         assert pg.induced_order(g, worlds, valuation) == order
 
     def test_single_world(self):
@@ -140,7 +143,8 @@ class TestExtractGraph:
         ident = md.Preorder.identity(worlds)
         m = md.AgentModel(("p",), worlds, ident, ident, valuation)
         g = pg.extract_graph(m, "P")
-        assert g.nodes == (fm.Atom("p"),)
+        # one tie class needs no node at all
+        assert g == pg.PriorityGraph((), frozenset())
         assert pg.induced_order(g, worlds, valuation) == ident
 
     def test_non_injective_valuation_rejected(self):
@@ -168,6 +172,17 @@ class TestExtractGraph:
             order = md.Preorder.from_pairs(worlds, edges)
             m = md.AgentModel(tuple(names), frozenset(worlds), order,
                               md.Preorder.identity(worlds), valuation)
+            if all((w, u) in pairs or (u, w) in pairs
+                   for w in worlds for u in worlds):
+                # total: a rank-bit chain instead (see TestRankBits)
+                classes = len({frozenset(u for u in worlds if (u, w) in pairs)
+                               for w in worlds})
+                g = pg.extract_graph(m, "P")
+                n_bits = math.ceil(math.log2(classes)) if classes > 1 else 0
+                assert len(g.nodes) == n_bits
+                assert g.prec == ranked_chain(n_bits)
+                assert pg.induced_order(g, m.worlds, m.valuation) == order
+                continue
             # expected nodes: each distinct down-set's minterms, in the order
             # of the worlds' valuation strings over the declared atoms
             bits = {w: "".join("1" if a in true_at[w] else "0" for a in names)
@@ -179,6 +194,7 @@ class TestExtractGraph:
                 if below not in minterms:
                     minterms.append(below)
             g = pg.extract_graph(m, "P")
+            assert g.prec == frozenset()
             assert len(g.nodes) == len(minterms)
             for node, below in zip(g.nodes, minterms):
                 assert nesting_depth(node) <= 2 * len(names) + 2
@@ -201,6 +217,93 @@ class TestExtractGraph:
             m = generators.random_injective_model(rng)
             g = pg.extract_graph(m, "P")
             assert pg.induced_order(g, m.worlds, m.valuation) == m.plausibility
+
+
+def ranked_chain(n: int) -> frozenset:
+    return frozenset((i, j) for i in range(n) for j in range(i + 1, n))
+
+
+class TestRankBits:
+    """Total preorders extract as ranked rank-bit graphs."""
+
+    @staticmethod
+    def total_model(rng, n_atoms, classes):
+        """Worlds with distinct valuations over n_atoms, in `classes`
+        nonempty tie classes. Returns the model, each world's class value
+        (best class = classes - 1) and each world's true atoms."""
+        names = [f"x{i}" for i in range(n_atoms)]
+        size = rng.randint(classes, 2 ** n_atoms) if classes else 0
+        worlds = rng.sample(range(3 * 2 ** n_atoms), k=size)
+        codes = rng.sample(range(2 ** n_atoms), k=size)
+        rank = list(range(classes)) + [rng.randrange(classes)
+                                       for _ in range(size - classes)]
+        rng.shuffle(rank)
+        value = {w: classes - 1 - r for w, r in zip(worlds, rank)}
+        valuation = {a: frozenset(w for w, c in zip(worlds, codes) if c >> i & 1)
+                     for i, a in enumerate(names)}
+        pairs = [(w, u) for w in worlds for u in worlds if value[w] >= value[u]]
+        order = md.Preorder.from_pairs(worlds, pairs)
+        ident = md.Preorder.identity(worlds)
+        true_at = {w: {a for i, a in enumerate(names) if c >> i & 1}
+                   for w, c in zip(worlds, codes)}
+        return md.AgentModel(tuple(names), frozenset(worlds), order, ident,
+                             valuation), value, true_at
+
+    @pytest.mark.parametrize("classes", [0, 1, 2, 3, 4, 5, 7, 8, 11])
+    def test_random_total_orders(self, classes):
+        rng = random.Random(1000 + classes)
+        for _ in range(30):
+            n_atoms = rng.randint(max(1, (classes - 1).bit_length()), 5)
+            m, value, true_at = self.total_model(rng, n_atoms, classes)
+            g = pg.extract_graph(m, "P")
+            bits = math.ceil(math.log2(classes)) if classes > 1 else 0
+            assert len(g.nodes) == bits
+            assert g.prec == ranked_chain(bits)
+            # node i (most significant first) holds exactly the worlds
+            # whose class value has that bit set
+            for i, node in enumerate(g.nodes):
+                bit = bits - 1 - i
+                for w, true in true_at.items():
+                    assert oracles.holds_at(node, true) == bool(value[w] >> bit & 1)
+            assert pg.induced_order(g, m.worlds, m.valuation) == m.plausibility
+
+    def test_all_worlds_distinct(self):
+        rng = random.Random(5)
+        for n_atoms in range(1, 7):
+            worlds = list(range(2 ** n_atoms))
+            rng.shuffle(worlds)
+            order = md.Preorder.from_pairs(worlds, zip(worlds, worlds[1:]))
+            valuation = {f"x{i}": frozenset(w for w in worlds if w >> i & 1)
+                         for i in range(n_atoms)}
+            m = md.AgentModel(tuple(valuation), frozenset(worlds), order,
+                              order, valuation)
+            g = pg.extract_graph(m, "P")
+            assert len(g.nodes) == n_atoms
+            assert g.prec == ranked_chain(n_atoms)
+            assert pg.induced_order(g, m.worlds, m.valuation) == order
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 9, 12])
+    def test_ranked_program_extracts_its_own_atoms(self, n):
+        ag = ranked_program(n)
+        m = pg.induce_program(ag, pl.EMPTY_LIBRARY)
+        beliefs = pg.extract_graph(m, "P")
+        assert [fm.render(f) for f in beliefs.nodes] == [f"a{i}" for i in range(n)]
+        assert beliefs.prec == ranked_chain(n)
+        for tag in ("P", "D"):
+            g = pg.extract_graph(m, tag)
+            assert pg.induced_order(g, m.worlds, m.valuation) == m.order(tag)
+
+    def test_nine_atom_graphs_re_induce(self):
+        ag = pg.load_program({
+            "atoms": [f"a{i}" for i in range(9)],
+            "B": {"nodes": ["a0", "a1 | a2", "a3 & a4"], "edges": [[0, 1]]},
+            "D": {"nodes": ["a5 & a6", "a7 | a8"], "ranks": [0, 1]},
+        })
+        m = pg.induce_program(ag, pl.EMPTY_LIBRARY)
+        for tag, edges in (("P", frozenset()), ("D", ranked_chain(2))):
+            g = pg.extract_graph(m, tag)
+            assert g.prec == edges  # the belief order is not total
+            assert pg.induced_order(g, m.worlds, m.valuation) == m.order(tag)
 
 
 class TestInduceProgram:
@@ -261,12 +364,20 @@ class TestProgramDocuments:
 
     def test_ranks_compile_to_priority_pairs(self):
         g = pg.load_graph({"nodes": ["p", "q", "r"], "ranks": [0, 0, 1]}, "D")
-        r = fm.Atom("r")
-        assert g.prec == frozenset({(P, r), (Q, r)})
+        assert g.nodes == (P, Q, fm.Atom("r"))
+        assert g.prec == frozenset({(0, 2), (1, 2)})
 
     def test_edges_form(self):
         g = pg.load_graph({"nodes": ["p", "q"], "edges": [[0, 1]]}, "B")
-        assert g.prec == frozenset({(P, Q)})
+        assert g.prec == frozenset({(0, 1)})
+
+    def test_edges_are_closed_index_pairs(self):
+        g = pg.load_graph({"nodes": ["p", "q", "r", "p"],
+                           "edges": [[0, 1], [1, 2], [3, 2]]}, "B")
+        # the repeated p is dropped, and its edge lands on the first copy
+        assert g.nodes == (P, Q, fm.Atom("r"))
+        assert g.prec == frozenset({(0, 1), (1, 2), (0, 2)})
+        assert pg.dump_graph(g)["edges"] == [[0, 1], [0, 2], [1, 2]]
 
     def test_priority_cycle_rejected(self):
         with pytest.raises(pg.ProgramError):
