@@ -5,17 +5,25 @@ model value: restriction keeps surviving ids, and ids are never reused.
 Relations are stored densely as per-world bit rows, one int per world: a
 down row (the worlds at or below w), a strict down row (those strictly
 below) and an up row (the worlds at or above w). Attitudes only look
-below a world, so orders loaded from documents are down-first: the
-closure runs on the reversed generator pairs and gives the down rows and
-the tie classes directly, and the up rows are derived on first read. A
-preorder built from up rows gets its down rows, and a loaded one its up
-rows, from one word-parallel bit-matrix transpose, Warren's block swap
-over the rows packed into one int. A carrier whose ids spread far wider
-than its size is transposed over its worlds' ranks and spread back to
-ids, so the matrix stays about the carrier's size. Restriction derives
-its row sets directly, upgrade and contraction derive down rows and strict
-down rows from the old ones, and the reduction a document is written from
-reads down rows only, so none of them transposes.
+below a world, so orders are built down-first. Loading closes the
+reversed generator pairs, which gives the down rows and the tie classes
+directly. Induction from a priority graph computes one down row per tie
+class, since worlds tie exactly when they satisfy the same graph nodes
+(Andreka, Ryan & Schobbens 2002). Restriction derives its row sets
+directly, upgrade and contraction derive down rows and strict down rows
+from the old ones, and the reduction a document is written from reads
+down rows only, so none of them transposes.
+
+Up rows are still derived on first read, and an order built from up rows
+(the Preorder constructor) gets its down rows the same way: one
+word-parallel bit-matrix transpose, Warren's block swap over the rows
+packed into one int. A carrier whose ids spread far wider than its size
+is transposed over its worlds' ranks and spread back to ids, so the
+matrix stays about the carrier's size. No command reads up rows or
+builds an order from them. The transpose stays for validate, for
+from_pairs(close=False), for the identity and total constructors, and for
+callers outside the engine: the benchmark's tracer counts relation pairs
+from up rows (bench/tracing.py).
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain
 from operator import itemgetter, or_
 from typing import Iterable, Mapping, Optional
 
@@ -71,14 +79,11 @@ def _bits(row: int):
         row ^= low
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _set_bits(row: int):
-    """The set bits of row, ascending, picked in C: the row is written out
-    lowest bit first as one byte per bit, and compress keeps the set ones.
-    Faster than _bits once a row holds more than a few bits."""
-    return compress(count(), format(row, "b")[::-1].encode().translate(_BIT_BYTES))
+# Preorder.reduction_pairs sorts a class minimum's cover candidates by place
+# when they fill less than 1/_SCAN_RATIO of the places below it, and walks
+# those places downward otherwise, so a walk takes at most _SCAN_RATIO steps
+# per candidate.
+_SCAN_RATIO = 8
 
 
 _SWAP_COLUMN_BYTES = {1: b"\xaa", 2: b"\xcc", 4: b"\xf0"}
@@ -261,10 +266,10 @@ class Preorder:
     which takes generator pairs and closes them reflexively-transitively.
 
     An order built from up rows holds both row sets from the start. An
-    order closed from pairs, upgraded or contracted is down-first: it holds
-    its down rows and strict down rows, and transposes its up rows once, on
-    their first read. Down sets, minima, le, pairs, the reduction, equality
-    and hashing read down rows only.
+    order closed from pairs, induced, upgraded or contracted is down-first:
+    it holds its down rows and strict down rows, and transposes its up rows
+    once, on their first read. Down sets, minima, le, pairs, the reduction,
+    equality and hashing read down rows only.
     """
 
     __slots__ = ("carrier", "_down", "_sdown", "_lazy_up")
@@ -384,14 +389,21 @@ class Preorder:
         (C' strictly above C, no class in between), [min C, min C'] links
         them. Reflexive pairs are left out.
 
-        Only down rows are read. The classes a class covers are found from
-        above: a class minimum's lower covers are the class minima strictly
-        below it, less everything strictly below any of those; the OR over
-        their rows runs at C speed.
+        Only down rows are read. The class minima, sorted by down-set size,
+        are a linear extension of the order. A class minimum's candidates
+        are the class minima strictly below it; the highest-placed candidate
+        left is a lower cover, since anything between them would be placed
+        higher and still be left. Each cover masks out its own strict down
+        row, so one row is read per cover, not per candidate. The pick walks
+        the extension downward when the candidates are many (a chain covers
+        at once), and sorts them by place when they are few (a tree's are
+        spread over the whole extension).
         """
         down, sdown = self._down, self._sdown
         ties = {w: down[w] & ~sdown[w] for w in self.carrier}
-        minima = [w for w, t in ties.items() if t & -t == 1 << w]
+        minima = sorted((w for w, t in ties.items() if t & -t == 1 << w),
+                        key=lambda w: down[w].bit_count())
+        place = {w: i for i, w in enumerate(minima)}
         out = dict.fromkeys(self.carrier, 0)
         for w, t in ties.items():
             if t != 1 << w:
@@ -399,15 +411,24 @@ class Preorder:
                 out[w] = later & -later or t & -t  # next member, or wrap to c0
         heads = mask(minima)
         for u in minima:
-            s = sdown[u] & heads
-            if s:
-                bit = 1 << u
-                for w in _set_bits(s & ~reduce(or_, map(sdown.__getitem__, _set_bits(s)))):
+            left = sdown[u] & heads
+            if not left:
+                continue
+            bit, top = 1 << u, place[u]
+            if left.bit_count() * _SCAN_RATIO < top:
+                picks = sorted(_bits(left), key=place.__getitem__, reverse=True)
+            else:
+                picks = map(minima.__getitem__, range(top - 1, -1, -1))
+            for w in picks:
+                if left >> w & 1:
                     out[w] |= bit
+                    left &= ~down[w]  # w is the only class minimum in its class
+                    if not left:
+                        break
         pairs: list[list[WorldId]] = []
         for w in sorted(self.carrier):
-            if out[w]:
-                pairs += map(list, zip(repeat(w), _set_bits(out[w])))
+            for u in _bits(out[w]):
+                pairs.append([w, u])
         return pairs
 
     def below(self, w: WorldId) -> frozenset[WorldId]:

@@ -15,7 +15,8 @@ other order an antichain with one node per distinct down-set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -97,9 +98,15 @@ def induced_order(g: PriorityGraph, worlds: Iterable[md.WorldId],
     """The lexicographic preorder the graph induces on the given worlds.
 
     w <= w' iff for every node phi: (w' sat phi implies w sat phi), or some
-    strictly higher-priority psi holds at w and fails at w'. Row by row: w'
-    leaves w's row when some phi fails at w and holds at w', and every
-    higher psi that holds at w holds at w' too.
+    strictly higher-priority psi holds at w and fails at w'. Row by row: u
+    leaves w's down row when some phi holds at w and fails at u, and every
+    higher psi that fails at w fails at u too.
+
+    Two worlds tie exactly when they satisfy the same nodes (Andreka, Ryan
+    & Schobbens 2002), so a down row depends only on the world's node
+    signature: one row is computed per signature, and each member's strict
+    down row is that row less its signature class. The order is built
+    down-first, with no up rows.
     """
     worlds = frozenset(worlds)
     higher: list[list[int]] = [[] for _ in g.nodes]
@@ -107,18 +114,29 @@ def induced_order(g: PriorityGraph, worlds: Iterable[md.WorldId],
         higher[lo].append(hi)
     sat = [md.mask(md.satisfying_worlds(n, worlds, valuation)) for n in g.nodes]
     full = md.mask(worlds)
-    up = {}
+    fails = [full ^ s for s in sat]
+    # column w of the rows, lowest id first, is world w's signature
+    width = max(worlds, default=-1) + 1
+    signatures = (list(zip(*(format(s, f"0{width}b")[::-1] for s in sat)))
+                  if sat else [()] * width)
+    classes: dict[tuple[str, ...], list[md.WorldId]] = {}
     for w in worlds:
-        bit = 1 << w
+        classes.setdefault(signatures[w], []).append(w)
+    down, strict = {}, {}
+    for signature, members in classes.items():
         beaten = 0
-        for phi_sat, above in zip(sat, higher):
-            if not phi_sat & bit:
+        for holds, phi_fails, above in zip(signature, fails, higher):
+            if holds == "1":
                 for psi in above:
-                    if sat[psi] & bit:
-                        phi_sat &= sat[psi]
-                beaten |= phi_sat
-        up[w] = full & ~beaten
-    return md.Preorder(worlds, up)
+                    if signature[psi] == "0":
+                        phi_fails &= fails[psi]
+                beaten |= phi_fails
+        row = full ^ beaten
+        below = row & ~md.mask(members)
+        for w in members:
+            down[w] = row
+            strict[w] = below
+    return md.Preorder._of_down(worlds, down, strict)
 
 
 def extract_graph(m: md.AgentModel, tag: str) -> PriorityGraph:
@@ -159,8 +177,9 @@ def extract_graph(m: md.AgentModel, tag: str) -> PriorityGraph:
     width = max(m.worlds, default=-1) + 1
     top_code = (1 << len(atoms)) - 1
     slots = [0] * (top_code + 1)
+    code = itemgetter(slice(0, 0), *rank)  # the empty cut serves a model with no atoms
     for bits, w in by_val.items():
-        slots[top_code - int("".join(bits[i] for i in rank) or "0", 2)] = width - w
+        slots[top_code - int("".join(code(bits)) or "0", 2)] = width - w
     pick = itemgetter(*slots)
     fmt = f"0{width + 1}b"
     tree = _decision_trees(atoms)
@@ -169,17 +188,17 @@ def extract_graph(m: md.AgentModel, tag: str) -> PriorityGraph:
         return tree(int("".join(pick(format(row, fmt))), 2))
 
     down = m.order(tag).down_rows()
-    chain = sorted(set(down.values()), key=int.bit_count)
-    if all(lo & ~hi == 0 for lo, hi in zip(chain, chain[1:])):
-        # chain[k-1-v] holds the worlds of value v or more. Bit j of a value
+    nested = sorted(set(down.values()), key=int.bit_count)
+    if all(lo & ~hi == 0 for lo, hi in zip(nested, nested[1:])):
+        # nested[k-1-v] holds the worlds of value v or more. Bit j of a value
         # flips at each multiple of 2^j, so XOR-ing those rows leaves the
         # worlds whose value has bit j set.
-        k = len(chain)
+        k = len(nested)
         nodes = []
         for j in reversed(range(max(k - 1, 0).bit_length())):
             row = 0
             for v in range(1 << j, k, 1 << j):
-                row ^= chain[k - 1 - v]
+                row ^= nested[k - 1 - v]
             nodes.append(node(row))
         return PriorityGraph(tuple(nodes),
                              frozenset(combinations(range(len(nodes)), 2)))
@@ -250,6 +269,12 @@ class AgentProgram:
     desires: PriorityGraph
     intentions: frozenset[str]
 
+    @cached_property
+    def universe(self) -> tuple[frozenset[int], dict[str, frozenset[int]]]:
+        """The knowledge worlds and the valuation on them, computed once per
+        program value. Read only."""
+        return _knowledge_model(self.atoms, self.knowledge)
+
 
 def knowledge_worlds(atoms: tuple[str, ...],
                      knowledge: Iterable[fm.Formula]) -> frozenset[int]:
@@ -258,24 +283,29 @@ def knowledge_worlds(atoms: tuple[str, ...],
     World ids double as valuation bit masks: bit i is atom i of the declared
     order.
     """
+    return _knowledge_model(atoms, knowledge)[0]
+
+
+def _knowledge_model(atoms: tuple[str, ...], knowledge: Iterable[fm.Formula]
+                     ) -> tuple[frozenset[int], dict[str, frozenset[int]]]:
+    """knowledge_worlds, and the valuation of the atoms on those worlds."""
     if len(atoms) > MAX_PROGRAM_ATOMS:
         raise ProgramError(
             "too-many-atoms",
             f"{len(atoms)} atoms would enumerate {2 ** len(atoms)} worlds",
         )
-    worlds = frozenset(range(2 ** len(atoms)))
-    valuation = program_valuation(atoms, worlds)
+    top = 1 << len(atoms)
+    worlds = frozenset(range(top))
+    valuation = {}
+    for i, a in enumerate(atoms):
+        run = 1 << i  # atom i holds on every other run of 2^i ids
+        valuation[a] = frozenset(chain.from_iterable(
+            range(lo, lo + run) for lo in range(run, top, 2 * run)))
     for f in knowledge:
         worlds = worlds & md.satisfying_worlds(f, worlds, valuation)
-    return worlds
-
-
-def program_valuation(atoms: tuple[str, ...],
-                      worlds: frozenset[int]) -> dict[str, frozenset[int]]:
-    return {
-        a: frozenset(w for w in worlds if w >> i & 1)
-        for i, a in enumerate(atoms)
-    }
+    if len(worlds) < top:
+        valuation = {a: ws & worlds for a, ws in valuation.items()}
+    return worlds, valuation
 
 
 def induce_program(ag: AgentProgram, lib: pl.PlanLibrary,
@@ -287,11 +317,10 @@ def induce_program(ag: AgentProgram, lib: pl.PlanLibrary,
     unless check_intentions is disabled (used while rebuilding programs whose
     intentions are about to be re-filtered).
     """
-    worlds = knowledge_worlds(ag.atoms, ag.knowledge)
+    worlds, valuation = ag.universe
     if not worlds:
         raise ProgramError("inconsistent-knowledge",
                            "no valuation satisfies the knowledge set")
-    valuation = program_valuation(ag.atoms, worlds)
     plaus = induced_order(ag.beliefs, worlds, valuation)
     des = induced_order(ag.desires, worlds, valuation)
     for symbol in sorted(ag.intentions):
@@ -403,7 +432,7 @@ def load_program(doc: dict) -> AgentProgram:
     if missing:
         raise ProgramError("bad-program",
                            f"formulas use undeclared atoms: {sorted(missing)}")
-    if not knowledge_worlds(atoms, knowledge):
+    if not ag.universe[0]:
         raise ProgramError("inconsistent-knowledge",
                            "no valuation satisfies the knowledge set")
     return ag

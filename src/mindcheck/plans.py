@@ -85,18 +85,32 @@ def make_plan(symbol: str, pre: fm.Formula, post: fm.Formula) -> Plan:
 
 
 def load_library(doc: dict) -> PlanLibrary:
-    """Build a library from a document: {"plans": [{name, pre, post}]}."""
+    """Build a library from a document: {"plans": [{name, pre, post}]}.
+
+    A malformed document or plan entry is a LibraryError that names the
+    field.
+    """
+    if not isinstance(doc, dict):
+        raise LibraryError(f"a library must be an object, got {type(doc).__name__}")
+    entries = doc.get("plans", [])
+    if not isinstance(entries, list):
+        raise LibraryError(f"plans must be a list of plan entries, got {entries!r}")
     plans: dict[str, Plan] = {}
-    for pd in doc.get("plans", ()):
-        try:
-            name, pre_text, post_text = pd["name"], pd["pre"], pd["post"]
-        except (KeyError, TypeError) as exc:
-            raise LibraryError(f"plan entry missing field: {exc}") from exc
+    for pd in entries:
+        if not isinstance(pd, dict):
+            raise LibraryError(f"plan entry must be an object, got {pd!r}")
+        for field in ("name", "pre", "post"):
+            if field not in pd:
+                raise LibraryError(f"plan entry missing field: {field!r}")
+            if not isinstance(pd[field], str):
+                raise LibraryError(f"plan entry field {field!r} must be a string, "
+                                   f"got {pd[field]!r}")
+        name = pd["name"]
         if name in plans:
             raise LibraryError(f"duplicate plan symbol {name!r}")
         try:
-            pre = fm.parse(pre_text)
-            post = fm.parse(post_text)
+            pre = fm.parse(pd["pre"])
+            post = fm.parse(pd["post"])
         except fm.ParseError as exc:
             raise LibraryError(f"plan {name}: {exc}") from exc
         plans[name] = make_plan(name, pre, post)

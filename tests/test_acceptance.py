@@ -331,6 +331,9 @@ EXIT_CODE_MATRIX = [
         "edge_string_index", "edge_triple", "edge_bool", "edges_int",
         "ranks_int", "ranks_string", "node_int", "nodes_string",
         "graph_list", "intentions_int", "atoms_string", "knowledge_string")),
+    *((("eval", "--program", "running_program.json", "--library",
+        f"{case}_library.json", "--formula", "B(p|T)"), 2) for case in (
+        "list", "plans_int", "entry_int", "pre_int", "name_int")),
 ]
 
 

@@ -247,6 +247,26 @@ class TestMalformedProgram:
         assert err.startswith("error: bad-program: a program must be an object")
 
 
+class TestMalformedLibrary:
+    """A malformed library document is a library-error that names the field."""
+
+    @pytest.mark.parametrize("fixture, field", [
+        ("list", "a library must be an object"),
+        ("plans_int", "plans must be a list"),
+        ("entry_int", "plan entry must be an object"),
+        ("pre_int", "plan entry field 'pre' must be a string"),
+        ("name_int", "plan entry field 'name' must be a string"),
+    ])
+    def test_reason_names_the_field(self, capsys, fixture, field):
+        code, out, err = run(capsys, "eval", "--program", fx("running_program.json"),
+                             "--library", fx(f"{fixture}_library.json"),
+                             "--formula", "B(p|T)", "--json")
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["reason"] == "library-error"
+        assert error["detail"].startswith(field)
+
+
 class TestCheck:
     def test_running_example_ok(self, capsys):
         code, out, _ = run(

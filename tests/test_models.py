@@ -533,6 +533,76 @@ class TestDownOnlyRewrites:
         assert old._lazy_up is None and got._lazy_up is None
 
 
+def shuffled_ids(n, seed):
+    ids = list(range(n))
+    random.Random(seed).shuffle(ids)
+    return ids
+
+
+def chain_shape(ids):
+    """ids[0] at the bottom, each id covered by the next."""
+    return list(zip(ids, ids[1:]))
+
+
+def tree_shape(ids, k):
+    """A k-ary tree with ids[0] at the bottom: ids[i] covers its parent."""
+    return [(ids[(i - 1) // k], ids[i]) for i in range(1, len(ids))]
+
+
+def weak_shape(ids, k):
+    """k tie classes stacked in a chain: the ids dealt round robin into
+    the classes, so every class spreads over the whole id range."""
+    classes = [ids[c::k] for c in range(k)]
+    pairs = [(c[i], c[(i + 1) % len(c)]) for c in classes for i in range(len(c))]
+    return pairs + [(lo[-1], hi[0]) for lo, hi in zip(classes, classes[1:])]
+
+
+def lex_shape(ids, k):
+    """The lexicographic product of a chain with an antichain of k: a
+    world is below every world of a higher block, and blocks hold k
+    incomparable worlds."""
+    blocks = [ids[i:i + k] for i in range(0, len(ids), k)]
+    return [(w, u) for lo, hi in zip(blocks, blocks[1:]) for w in lo for u in hi]
+
+
+class TestReductionShapes:
+    """reduction_pairs against the pair-set reduction on orders whose
+    linear extension is far from id order; at 4 096 worlds, against the
+    generating covers."""
+
+    SHAPES = {
+        "chain": chain_shape,
+        "tree2": lambda ids: tree_shape(ids, 2),
+        "tree3": lambda ids: tree_shape(ids, 3),
+        "weak4": lambda ids: weak_shape(ids, 4),
+        "one-class": lambda ids: weak_shape(ids, 1),
+        "lex3": lambda ids: lex_shape(ids, 3),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_small_shapes_match_the_pair_set_reduction(self, shape, seed):
+        ids = shuffled_ids(60, seed)
+        order = md.Preorder.from_pairs(ids, self.SHAPES[shape](ids))
+        assert order.reduction_pairs() == canonical_reduction(ids, order.pairs)
+
+    @pytest.mark.parametrize("shape", ["chain", "tree2", "tree3"])
+    def test_4096_world_covers_are_the_generating_pairs(self, shape):
+        ids = shuffled_ids(4096, 7)
+        covers = self.SHAPES[shape](ids)
+        order = md.Preorder.from_pairs(ids, covers)
+        assert order.reduction_pairs() == sorted(map(list, covers))
+
+    def test_4096_world_weak_order(self):
+        ids = shuffled_ids(4096, 7)
+        order = md.Preorder.from_pairs(ids, weak_shape(ids, 64))
+        got = order.reduction_pairs()
+        classes = [sorted(ids[c::64]) for c in range(64)]
+        cycles = [[c[i], c[(i + 1) % 64]] for c in classes for i in range(64)]
+        links = [[lo[0], hi[0]] for lo, hi in zip(classes, classes[1:])]
+        assert got == sorted(cycles + links)
+
+
 class TestMirroredRows:
     @settings(max_examples=200)
     @given(sparse_models(), gen.prop_formulas(), gen.order_tags())
@@ -656,7 +726,8 @@ class TestDownFirstLoad:
             assert order._lazy_up is None  # comparing read no up rows
 
 
-CHAIN_MODEL = pathlib.Path(__file__).parent / "fixtures" / "chain_model.json"
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+CHAIN_MODEL = FIXTURES / "chain_model.json"
 
 
 class TestTransposeTraffic:
@@ -677,6 +748,16 @@ class TestTransposeTraffic:
     @pytest.mark.parametrize("argv", [["eval", "--formula", "B(p)"], ["extract"]])
     def test_down_row_commands_transpose_nothing(self, transposed, capsys, argv):
         assert cli.main([argv[0], "--model", str(CHAIN_MODEL), *argv[1:]]) in (0, 1)
+        assert capsys.readouterr().err == ""
+        assert transposed == []
+
+    def test_induce_transposes_nothing(self, transposed, capsys, tmp_path):
+        out = tmp_path / "model.json"
+        assert cli.main(["induce", "--program", str(FIXTURES / "running_program.json"),
+                         "--library", str(FIXTURES / "running_library.json"),
+                         "--out", str(out)]) == 0
+        assert cli.main(["induce", "--program",
+                         str(FIXTURES / "three_atom_program.json"), "--json"]) == 0
         assert capsys.readouterr().err == ""
         assert transposed == []
 

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mindcheck import formulas as fm
@@ -92,6 +92,31 @@ class TestInducedOrder:
         expected = pg.make_graph([fm.parse(t) for t in texts])
         assert pg.make_graph(fm.parse(t) for t in texts) == expected
 
+    @settings(max_examples=200)
+    @given(gen.priority_graphs(max_nodes=5), gen.priority_graphs(max_nodes=3),
+           st.lists(gen.prop_formulas(max_depth=2), max_size=2))
+    def test_strict_rows_match_the_oracle_under_knowledge(self, beliefs, desires,
+                                                          knowledge):
+        # Preorder equality reads down rows only, so the strict rows, which
+        # induction derives from the tie classes, are checked on their own.
+        atoms = gen.ATOMS
+
+        def true_atoms(w):
+            return {a for i, a in enumerate(atoms) if w >> i & 1}
+
+        worlds = frozenset(w for w in range(2 ** len(atoms)) if all(
+            oracles.holds_at(k, true_atoms(w)) for k in knowledge))
+        assume(worlds)
+        m = pg.induce_program(pg.AgentProgram(atoms, tuple(knowledge), beliefs,
+                                              desires, frozenset()), pl.EMPTY_LIBRARY)
+        assert m.worlds == worlds
+        for g, order in ((beliefs, m.plausibility), (desires, m.desirability)):
+            exts = [frozenset(w for w in worlds if oracles.holds_at(n, true_atoms(w)))
+                    for n in g.nodes]
+            expected = oracles.induced(worlds, exts, g.prec)
+            assert order.pairs == expected
+            assert order.strict_pairs() == oracles.strict(expected)
+
     @settings(max_examples=250)
     @given(gen.priority_graphs(names=("p", "q")))
     def test_induced_order_is_preorder(self, g):
@@ -145,6 +170,19 @@ class TestExtractGraph:
         g = pg.extract_graph(m, "P")
         # one tie class needs no node at all
         assert g == pg.PriorityGraph((), frozenset())
+        assert pg.induced_order(g, worlds, valuation) == ident
+
+    @pytest.mark.parametrize("atoms, worlds, nodes", [
+        ((), {0}, 0),  # one tie class
+        (("p",), {0, 1}, 2),  # two incomparable worlds: the antichain
+    ])
+    def test_no_atom_and_one_atom_models(self, atoms, worlds, nodes):
+        valuation = {a: frozenset(w for w in worlds if w >> i & 1)
+                     for i, a in enumerate(atoms)}
+        ident = md.Preorder.identity(worlds)
+        m = md.AgentModel(atoms, frozenset(worlds), ident, ident, valuation)
+        g = pg.extract_graph(m, "P")
+        assert len(g.nodes) == nodes
         assert pg.induced_order(g, worlds, valuation) == ident
 
     def test_non_injective_valuation_rejected(self):

@@ -49,6 +49,17 @@ class TestLoadLibrary:
             pl.load_library(
                 {"plans": [{"name": "a", "pre": "A p", "post": "p"}]})
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"plans": [{"name": "a", "pre": "T"}]}, "missing field: 'post'"),
+        ({"plans": [{"pre": "T", "post": "p"}]}, "missing field: 'name'"),
+        ({"plans": [{"name": "a", "pre": "T", "post": ["p"]}]}, "'post' must be"),
+        ({"plans": {"a": {}}}, "plans must be"),
+        ("plans", "a library must be"),
+    ])
+    def test_malformed_shapes_name_the_field(self, doc, field):
+        with pytest.raises(pl.LibraryError, match=field):
+            pl.load_library(doc)
+
     def test_dump_round_trips(self):
         lib = running_library()
         assert pl.load_library(pl.dump_library(lib)).plans == dict(lib.plans)
