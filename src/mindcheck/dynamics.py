@@ -44,7 +44,7 @@ def upgrade(m: md.AgentModel, target: str, phi: fm.Formula) -> md.AgentModel:
     # other world also gets the whole phi zone strictly below it
     down = {u: cols[u] & top if u in sat else cols[u] | top for u in m.worlds}
     strict = {u: scols[u] & top if u in sat else scols[u] | top for u in m.worlds}
-    return m.with_order(target, md.Preorder._of_down(m.worlds, down, strict))
+    return m.with_order(target, md.Preorder(m.worlds, down, strict))
 
 
 def contract(m: md.AgentModel, target: str, phi: fm.Formula) -> md.AgentModel:
@@ -64,7 +64,7 @@ def contract(m: md.AgentModel, target: str, phi: fm.Formula) -> md.AgentModel:
     # the promoted minima lie below every world, so nothing lies strictly
     # below them; they lie strictly below every other world
     strict = {u: 0 if u in bottom else scols[u] | low for u in m.worlds}
-    return m.with_order(target, md.Preorder._of_down(m.worlds, down, strict))
+    return m.with_order(target, md.Preorder(m.worlds, down, strict))
 
 
 def product_update(m: md.AgentModel, lib: pl.PlanLibrary,

@@ -2,28 +2,21 @@
 
 Worlds are small non-negative integers whose identity is stable within a
 model value: restriction keeps surviving ids, and ids are never reused.
-Relations are stored densely as per-world bit rows, one int per world: a
-down row (the worlds at or below w), a strict down row (those strictly
-below) and an up row (the worlds at or above w). Attitudes only look
-below a world, so orders are built down-first. Loading closes the
+Relations are stored densely as per-world bit rows, one int per world,
+in two row sets: a down row (the worlds at or below w) and a strict down
+row (those strictly below). Every attitude is read from what lies below a
+world, so nothing else is kept. Each order comes from the one Preorder
+constructor, which takes both row sets as they are. Loading closes the
 reversed generator pairs, which gives the down rows and the tie classes
 directly. Induction from a priority graph computes one down row per tie
 class, since worlds tie exactly when they satisfy the same graph nodes
-(Andreka, Ryan & Schobbens 2002). Restriction derives its row sets
-directly, upgrade and contraction derive down rows and strict down rows
-from the old ones, and the reduction a document is written from reads
-down rows only, so none of them transposes.
+(Andreka, Ryan & Schobbens 2002). Restriction masks both row sets,
+upgrade and contraction derive them from the old ones, and the reduction
+a document is written from reads down rows only.
 
-Up rows are still derived on first read, and an order built from up rows
-(the Preorder constructor) gets its down rows the same way: one
-word-parallel bit-matrix transpose, Warren's block swap over the rows
-packed into one int. A carrier whose ids spread far wider than its size
-is transposed over its worlds' ranks and spread back to ids, so the
-matrix stays about the carrier's size. No command reads up rows or
-builds an order from them. The transpose stays for validate, for
-from_pairs(close=False), for the identity and total constructors, and for
-callers outside the engine: the benchmark's tracer counts relation pairs
-from up rows (bench/tracing.py).
+Preorder._up closes the reduction's pairs into up rows on every read. The
+engine never reads it: it serves the benchmark's tracer, which counts
+relation pairs from up rows (bench/tracing.py).
 """
 
 from __future__ import annotations
@@ -31,8 +24,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate, chain
-from operator import itemgetter, or_
+from itertools import chain
+from operator import or_
 from typing import Iterable, Mapping, Optional
 
 from . import formulas as fm
@@ -84,107 +77,6 @@ def _bits(row: int):
 # those places downward otherwise, so a walk takes at most _SCAN_RATIO steps
 # per candidate.
 _SCAN_RATIO = 8
-
-
-_SWAP_COLUMN_BYTES = {1: b"\xaa", 2: b"\xcc", 4: b"\xf0"}
-
-
-def _swap_masks(side: int):
-    """(shift, mask) for each round of _swap, largest block first.
-
-    Round j pairs bit (r, c) with bit (r + j, c - j): the mask holds the
-    cells whose row has bit j clear and whose column has bit j set. It is
-    built from repeated bytes: 0xAA, 0xCC and 0xF0 below a byte, runs of
-    zero and 0xFF bytes above it.
-    """
-    zero_row = bytes(side // 8)
-    j = side // 2
-    while j:
-        if j < 8:
-            row = _SWAP_COLUMN_BYTES[j] * (side // 8)
-        else:
-            row = (bytes(j // 8) + b"\xff" * (j // 8)) * (side // (2 * j))
-        block = row * j + zero_row * j
-        yield j * (side - 1), int.from_bytes(block * (side // (2 * j)), "little")
-        j //= 2
-
-
-def _swap(data: bytes, side: int) -> bytes:
-    """Transpose a side x side bit matrix.
-
-    data holds side rows of side bits each, little-endian, row r at bit
-    r * side. Warren's swap (Hacker's Delight, 7-3) exchanges the
-    off-diagonal blocks of every 2j x 2j block for j = side/2, ..., 1, each
-    round a few operations on the whole matrix as one int.
-    """
-    x = int.from_bytes(data, "little")
-    for shift, m in _swap_masks(side):
-        t = (x ^ (x >> shift)) & m
-        x ^= t ^ (t << shift)
-    return x.to_bytes(side * side // 8, "little")
-
-
-def _side(k: int) -> int:
-    """The power of two at or above k, and at least one byte."""
-    return 1 << max(3, (k - 1).bit_length())
-
-
-def _transpose(carrier: frozenset[WorldId],
-               up: Mapping[WorldId, int]) -> dict[WorldId, int]:
-    """The down rows of the up rows: bit w of down[u] iff bit u of up[w].
-    Transposing is its own inverse, so down rows give up rows the same way.
-
-    The rows become one square bit matrix that _swap transposes
-    word-parallel. When the carrier is dense, row and column w of the
-    matrix stand for world w. When the id span is more than four times
-    wider than the carrier (both rounded up to powers of two), that matrix
-    would be mostly empty, so rows and columns stand for the worlds' ranks
-    instead: each up row's runs of consecutive ids are cut out of its
-    binary string before the swap, and each down row's runs are spread
-    back to their ids after it, zeros filling the gaps. Either way the
-    matrix side is at most four times the carrier's size, rounded up.
-    """
-    if not carrier:
-        return {}
-    ids = sorted(carrier)
-    span = ids[-1] + 1
-    dense = _side(span) <= 4 * _side(len(ids))
-    if dense:
-        side, places, rows = _side(span), ids, map(up.__getitem__, ids)
-    else:
-        side, places = _side(len(ids)), range(len(ids))
-        runs, hi = [], ids[-1]  # (lowest, highest) id of each run, top run first
-        for w, below in zip(ids[::-1], ids[-2::-1] + [-2]):
-            if below != w - 1:
-                runs.append((w, hi))
-                hi = below
-        fmt = f"0{span}b"
-        # a leading empty cut keeps the result a tuple when there is one run
-        id_runs = itemgetter(slice(0, 0), *(slice(span - 1 - hi, span - lo)
-                                            for lo, hi in runs))
-        rows = (int("".join(id_runs(format(up[w], fmt))), 2) for w in ids)
-    row_bytes = side // 8
-    packed, free = [], 0
-    for p, row in zip(places, rows):
-        packed += bytes((p - free) * row_bytes), row.to_bytes(row_bytes, "little")
-        free = p + 1
-    matrix = _swap(b"".join(packed), side)
-    down = [int.from_bytes(matrix[p * row_bytes:(p + 1) * row_bytes], "little")
-            for p in places]
-    if not dense:
-        fmt = f"0{len(ids)}b"
-        ends = accumulate(hi - lo + 1 for lo, hi in runs)
-        rank_runs = itemgetter(slice(0, 0), *(slice(end - (hi - lo + 1), end)
-                                              for end, (lo, hi) in zip(ends, runs)))
-        pieces = [""] * (2 * len(runs) + 1)  # each run after the gap above it
-        pieces[1::2] = ("0" * (above - hi - 1)
-                        for above, (_, hi) in zip([span] + [lo for lo, _ in runs], runs))
-        spread = []
-        for row in down:
-            pieces[::2] = rank_runs(format(row, fmt))
-            spread.append(int("".join(pieces), 2) << ids[0])
-        down = spread
-    return dict(zip(ids, down))
 
 
 def _closure(rows: dict[WorldId, int]) -> tuple[dict[WorldId, int],
@@ -261,61 +153,34 @@ def _closure(rows: dict[WorldId, int]) -> tuple[dict[WorldId, int],
 class Preorder:
     """A binary relation over a finite carrier, intended reflexive+transitive.
 
-    Values are immutable once built. Constructors do not force the invariants
-    (validate() reports the first violation), except from_pairs(close=True),
-    which takes generator pairs and closes them reflexively-transitively.
-
-    An order built from up rows holds both row sets from the start. An
-    order closed from pairs, induced, upgraded or contracted is down-first:
-    it holds its down rows and strict down rows, and transposes its up rows
-    once, on their first read. Down sets, minima, le, pairs, the reduction,
-    equality and hashing read down rows only.
+    Values are immutable once built. An order holds two row sets: per world
+    w, its down row (the u with u <= w) and its strict down row (the u with
+    u < w). The one constructor takes both as they are and does not force
+    the invariants: validate() reports the first violation. from_pairs,
+    identity, total and restrict build through it, and so do induction and
+    the dynamic rewrites. Down sets, minima, le, pairs, the reduction,
+    validation, equality and hashing all read down rows. The _up property
+    is a shim for the benchmark's tracer only.
     """
 
-    __slots__ = ("carrier", "_down", "_sdown", "_lazy_up")
+    __slots__ = ("carrier", "_down", "_sdown")
 
-    def __init__(self, carrier: frozenset[WorldId], up: dict[WorldId, int]):
-        carrier = frozenset(carrier)
-        self._set_rows(carrier, _transpose(carrier, up), None, dict(up))
-
-    @classmethod
-    def _of_rows(cls, carrier: frozenset[WorldId], up: dict[WorldId, int],
-                 down: dict[WorldId, int]) -> "Preorder":
-        """An order from rows the caller already knows to mirror each other
-        (down the transpose of up), so no transpose runs."""
-        return cls._of_down(carrier, down, None, up)
-
-    @classmethod
-    def _of_down(cls, carrier: frozenset[WorldId], down: dict[WorldId, int],
-                 strict: Optional[dict[WorldId, int]],
-                 up: Optional[dict[WorldId, int]] = None) -> "Preorder":
-        """An order from its down rows. strict=None derives the strict down
-        rows from the up rows; up=None leaves the up rows to their first
-        read."""
-        order = object.__new__(cls)
-        order._set_rows(carrier, down, strict, up)
-        return order
-
-    def _set_rows(self, carrier, down, strict, up):
-        if strict is None:  # w's tie class is up[w] & down[w]
-            strict = {w: down[w] & ~up[w] for w in carrier}
-        object.__setattr__(self, "carrier", carrier)
+    def __init__(self, carrier: Iterable[WorldId], down: dict[WorldId, int],
+                 strict: dict[WorldId, int]):
+        object.__setattr__(self, "carrier", frozenset(carrier))
         object.__setattr__(self, "_down", down)
         object.__setattr__(self, "_sdown", strict)
-        object.__setattr__(self, "_lazy_up", up)
 
     def __setattr__(self, name, value):
         raise AttributeError("Preorder is immutable")
 
     @classmethod
     def from_pairs(cls, carrier: Iterable[WorldId],
-                   pairs: Iterable[tuple[WorldId, WorldId]],
-                   close: bool = True) -> "Preorder":
+                   pairs: Iterable[tuple[WorldId, WorldId]]) -> "Preorder":
         """The order generated by pairs (w, u), read w <= u.
 
-        Each pair sets bit w of u's down row. With close, one closure pass
-        over those rows gives the down rows and strict down rows. Without
-        it, the rows are taken as they are and the up rows transposed.
+        Each pair sets bit w of u's down row, and one closure pass over
+        those rows gives the down rows and strict down rows.
         """
         carrier = frozenset(carrier)
         pairs = list(pairs)
@@ -326,34 +191,28 @@ class Preorder:
         down = dict.fromkeys(carrier, 0)
         for w, u in pairs:
             down[u] |= 1 << w
-        if close:
-            return cls._of_down(carrier, *_closure(down))
-        return cls._of_rows(carrier, _transpose(carrier, down), down)
+        return cls(carrier, *_closure(down))
 
     @classmethod
     def identity(cls, carrier: Iterable[WorldId]) -> "Preorder":
         carrier = frozenset(carrier)
-        return cls(carrier, {w: 1 << w for w in carrier})
+        return cls(carrier, {w: 1 << w for w in carrier}, dict.fromkeys(carrier, 0))
 
     @classmethod
     def total(cls, carrier: Iterable[WorldId]) -> "Preorder":
         carrier = frozenset(carrier)
-        full = mask(carrier)
-        return cls(carrier, {w: full for w in carrier})
+        return cls(carrier, dict.fromkeys(carrier, mask(carrier)),
+                   dict.fromkeys(carrier, 0))
 
     @property
     def _up(self) -> dict[WorldId, int]:
-        """The up rows, transposed from the down rows on first read and
-        kept from then on."""
-        up = self._lazy_up
-        if up is None:
-            up = _transpose(self.carrier, self._down)
-            object.__setattr__(self, "_lazy_up", up)
-        return up
-
-    def up_rows(self) -> Mapping[WorldId, int]:
-        """Per world w, the mask of all u with w <= u. Read only."""
-        return self._up
+        """Per world w, the mask of all u with w <= u, closed from the
+        reduction's pairs on every read. Only the benchmark's tracer reads
+        it (bench/tracing.py counts relation pairs from it)."""
+        up = dict.fromkeys(self.carrier, 0)
+        for w, u in self.reduction_pairs():
+            up[w] |= 1 << u
+        return _closure(up)[0]
 
     def down_rows(self, strict: bool = False) -> Mapping[WorldId, int]:
         """Per world w, the mask of all u with u <= w (u < w if strict).
@@ -431,13 +290,6 @@ class Preorder:
                 pairs.append([w, u])
         return pairs
 
-    def below(self, w: WorldId) -> frozenset[WorldId]:
-        """All u with u <= w."""
-        return frozenset(_bits(self._down[w]))
-
-    def strictly_below(self, w: WorldId) -> frozenset[WorldId]:
-        return frozenset(_bits(self._sdown[w]))
-
     def min_set(self, s: Iterable[WorldId]) -> frozenset[WorldId]:
         """Members of s with no strictly smaller member of s."""
         s = frozenset(s)
@@ -451,21 +303,23 @@ class Preorder:
         if not keep <= self.carrier:
             raise ModelError(f"worlds {sorted(keep - self.carrier)} outside carrier")
         kmask = mask(keep)
-        up = self._lazy_up
-        return Preorder._of_down(
-            keep, {w: self._down[w] & kmask for w in keep},
-            {w: self._sdown[w] & kmask for w in keep},
-            None if up is None else {w: up[w] & kmask for w in keep})
+        return Preorder(keep, {w: self._down[w] & kmask for w in keep},
+                        {w: self._sdown[w] & kmask for w in keep})
 
     def validate(self) -> Optional[Violation]:
+        """The first missing reflexive pair, else the first missing
+        transitive one: for x and u <= x in ascending order, the lowest w
+        in u's down row but not in x's."""
         for w in sorted(self.carrier):
             if not self.le(w, w):
                 return Violation("reflexivity", (w,))
-        for w in sorted(self.carrier):
-            for u in sorted(_bits(self._up[w])):
-                for x in sorted(_bits(self._up[u])):
-                    if not self.le(w, x):
-                        return Violation("transitivity", (w, u, x))
+        for x in sorted(self.carrier):
+            row = self._down[x]
+            for u in _bits(row):
+                missing = self._down[u] & ~row
+                if missing:
+                    w = (missing & -missing).bit_length() - 1
+                    return Violation("transitivity", (w, u, x))
         return None
 
     def __eq__(self, other):
@@ -517,9 +371,6 @@ class AgentModel:
         if tag == "D":
             return dataclasses.replace(self, desirability=order)
         raise ModelError(f"bad order tag {tag!r}")
-
-    def true_atoms(self, w: WorldId) -> frozenset[str]:
-        return frozenset(a for a in self.atoms if w in self.valuation[a])
 
     def world_bits(self, w: WorldId) -> str:
         """Valuation of w as a 0/1 string in declared atom order."""
@@ -662,10 +513,13 @@ def dump_model(m: AgentModel) -> dict:
     Each order is written as its canonical transitive reduction; load_model
     closes it again, so the document loads back to the same model.
     """
+    names = sorted(m.atoms)  # true atoms are listed by name
+    places = [m.atoms.index(a) for a in names]
+    bits = m.bits_by_world
     return {
         "atoms": list(m.atoms),
         "worlds": [
-            {"id": w, "true_atoms": sorted(m.true_atoms(w))}
+            {"id": w, "true_atoms": [a for a, i in zip(names, places) if bits[w][i] == "1"]}
             for w in sorted_worlds(m)
         ],
         "plausibility": m.plausibility.reduction_pairs(),

@@ -105,8 +105,7 @@ def induced_order(g: PriorityGraph, worlds: Iterable[md.WorldId],
     Two worlds tie exactly when they satisfy the same nodes (Andreka, Ryan
     & Schobbens 2002), so a down row depends only on the world's node
     signature: one row is computed per signature, and each member's strict
-    down row is that row less its signature class. The order is built
-    down-first, with no up rows.
+    down row is that row less its signature class.
     """
     worlds = frozenset(worlds)
     higher: list[list[int]] = [[] for _ in g.nodes]
@@ -136,7 +135,7 @@ def induced_order(g: PriorityGraph, worlds: Iterable[md.WorldId],
         for w in members:
             down[w] = row
             strict[w] = below
-    return md.Preorder._of_down(worlds, down, strict)
+    return md.Preorder(worlds, down, strict)
 
 
 def extract_graph(m: md.AgentModel, tag: str) -> PriorityGraph:

@@ -39,7 +39,7 @@ def random_preorder(rng: random.Random, worlds) -> md.Preorder:
         (rng.choice(worlds), rng.choice(worlds))
         for _ in range(rng.randint(0, 2 * len(worlds)))
     ]
-    return md.Preorder.from_pairs(frozenset(worlds), edges, close=True)
+    return md.Preorder.from_pairs(frozenset(worlds), edges)
 
 
 def random_chain(rng: random.Random, worlds) -> md.Preorder:
@@ -50,7 +50,7 @@ def random_chain(rng: random.Random, worlds) -> md.Preorder:
         (order[i], order[j])
         for i in range(len(order)) for j in range(i, len(order))
     ]
-    return md.Preorder.from_pairs(frozenset(worlds), pairs, close=False)
+    return md.Preorder.from_pairs(frozenset(worlds), pairs)
 
 
 def _mixed_order(rng: random.Random, worlds) -> md.Preorder:

@@ -73,7 +73,7 @@ def preorders(draw, min_worlds=1, max_worlds=6):
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
         max_size=2 * n,
     ))
-    return md.Preorder.from_pairs(worlds, edges, close=True)
+    return md.Preorder.from_pairs(worlds, edges)
 
 
 @st.composite
@@ -98,7 +98,7 @@ def _orders_on(worlds):
     return st.lists(
         st.tuples(st.sampled_from(ws), st.sampled_from(ws)),
         max_size=2 * len(ws),
-    ).map(lambda edges: md.Preorder.from_pairs(worlds, edges, close=True))
+    ).map(lambda edges: md.Preorder.from_pairs(worlds, edges))
 
 
 @st.composite

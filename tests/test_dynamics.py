@@ -24,7 +24,7 @@ def chain_model():
     worlds = frozenset(range(4))
     ids = [3, 1, 2, 0]
     pairs = [(ids[i], ids[j]) for i in range(4) for j in range(i, 4)]
-    chain = md.Preorder.from_pairs(worlds, pairs, close=False)
+    chain = md.Preorder.from_pairs(worlds, pairs)
     valuation = {"p": frozenset({1, 3}), "q": frozenset({2, 3})}
     return md.AgentModel(("p", "q"), worlds, chain, chain, valuation)
 

@@ -19,7 +19,17 @@ def chain(*ids):
     """Total order with ids[0] at the bottom."""
     worlds = frozenset(ids)
     pairs = [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i, len(ids))]
-    return md.Preorder.from_pairs(worlds, pairs, close=False)
+    return md.Preorder.from_pairs(worlds, pairs)
+
+
+def rows_order(worlds, pairs):
+    """The order whose rows hold pairs as they are, closed or not: u's down
+    row holds each w with (w, u), its strict row those without (u, w)."""
+    pairs = set(pairs)
+    down = {u: sum(1 << w for w in worlds if (w, u) in pairs) for u in worlds}
+    strict = {u: sum(1 << w for w in worlds if (w, u) in pairs and (u, w) not in pairs)
+              for u in worlds}
+    return md.Preorder(worlds, down, strict)
 
 
 def full_two_atom_model():
@@ -92,13 +102,13 @@ class TestValidate:
         assert o.validate() is None
 
     def test_missing_reflexive_pair(self):
-        o = md.Preorder.from_pairs({0, 1}, [(0, 0)], close=False)
+        o = rows_order({0, 1}, [(0, 0)])
         v = o.validate()
         assert v is not None and v.kind == "reflexivity" and v.witness == (1,)
 
     def test_missing_transitive_pair(self):
         pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)]
-        o = md.Preorder.from_pairs({0, 1, 2}, pairs, close=False)
+        o = rows_order({0, 1, 2}, pairs)
         v = o.validate()
         assert v is not None and v.kind == "transitivity"
         assert v.witness == (0, 1, 2)
@@ -107,6 +117,28 @@ class TestValidate:
     @given(gen.preorders())
     def test_fuzzed_closures_valid(self, o):
         assert o.validate() is None
+
+    @settings(max_examples=300)
+    @given(st.deferred(lambda: relations()), st.sampled_from(["drawn", "reflexive", "closed"]))
+    def test_unclosed_rows_against_their_pair_set(self, rel, kind):
+        """None exactly on a reflexive pair set equal to its closure, else
+        a witness that the pair set really violates."""
+        worlds, pairs = rel
+        if kind == "reflexive":
+            pairs = pairs + [(w, w) for w in worlds]
+        elif kind == "closed":
+            pairs = warshall(worlds, pairs)
+        pairs = set(pairs)
+        v = rows_order(worlds, pairs).validate()
+        reflexive = all((w, w) in pairs for w in worlds)
+        assert (v is None) == (reflexive and warshall(worlds, pairs) == pairs)
+        if v is not None and v.kind == "reflexivity":
+            (w,) = v.witness
+            assert w in worlds and (w, w) not in pairs
+        elif v is not None:
+            w, u, x = v.witness
+            assert reflexive
+            assert (w, u) in pairs and (u, x) in pairs and (w, x) not in pairs
 
 
 class TestRestrict:
@@ -189,6 +221,15 @@ class TestModelDocuments:
         m = md.load_model(self.DOC)
         assert md.load_model(md.dump_model(m)) == m
 
+    def test_true_atoms_are_listed_by_name(self):
+        doc = dict(self.DOC, atoms=["q", "p", "r"], worlds=[
+            {"id": 0, "true_atoms": ["r", "q"]}, {"id": 1, "true_atoms": ["p", "r", "q"]},
+            {"id": 2, "true_atoms": []}, {"id": 3, "true_atoms": ["p"]}])
+        got = md.dump_model(md.load_model(doc))["worlds"]
+        assert got == [{"id": 2, "true_atoms": []}, {"id": 3, "true_atoms": ["p"]},
+                       {"id": 0, "true_atoms": ["q", "r"]},
+                       {"id": 1, "true_atoms": ["p", "q", "r"]}]
+
     def test_dump_is_deterministic(self):
         a = md.dump_model(md.load_model(self.DOC))
         b = md.dump_model(md.load_model(self.DOC))
@@ -267,7 +308,7 @@ class TestModelDocuments:
 
 # ---------------------------------------------------------------------------
 # Bit-row construction against pair-level definitions. World ids are drawn
-# with gaps so the transpose meets sparse carriers; each reference is written
+# with gaps so the rows meet sparse carriers; each reference is written
 # out here on plain pair sets.
 
 @st.composite
@@ -339,23 +380,34 @@ class TestRowConstruction:
         worlds, pairs = rel
         assert md.Preorder.from_pairs(worlds, pairs).pairs == warshall(worlds, pairs)
 
+    @pytest.mark.parametrize("ids", [[], [3], [0, 1, 2], [0, 64, 1_000]])
+    def test_identity_and_total_rows(self, ids):
+        full = sum(1 << w for w in ids)
+        for order, le in ((md.Preorder.identity(ids), {(w, w) for w in ids}),
+                          (md.Preorder.total(ids), {(w, u) for w in ids for u in ids})):
+            assert order.carrier == frozenset(ids) and order.pairs == le
+            assert dict(order.down_rows(strict=True)) == dict.fromkeys(ids, 0)
+            assert order.validate() is None
+        assert dict(md.Preorder.total(ids).down_rows()) == dict.fromkeys(ids, full)
+
     def test_long_chain_closes_without_recursion(self):
         n = 3000
         o = md.Preorder.from_pairs(range(n), [(i, i + 1) for i in range(n - 1)])
-        assert o.below(n - 1) == frozenset(range(n))
-        assert o.strictly_below(0) == frozenset()
+        assert o.down_rows()[n - 1] == (1 << n) - 1
+        assert o.down_rows(strict=True)[0] == 0
 
     @settings(max_examples=300)
-    @given(relations(), st.booleans(), st.randoms(use_true_random=False))
-    def test_down_sets_match_pairwise_definitions(self, rel, close, rng):
+    @given(relations(), st.randoms(use_true_random=False))
+    def test_down_sets_match_pairwise_definitions(self, rel, rng):
         worlds, pairs = rel
-        o = md.Preorder.from_pairs(worlds, pairs, close=close)
+        o = md.Preorder.from_pairs(worlds, pairs)
+        le = warshall(worlds, pairs)
         keep = frozenset(rng.sample(sorted(worlds), k=rng.randint(0, len(worlds))))
         for order, carrier in ((o, worlds), (o.restrict(keep), keep)):
-            le = order.pairs
+            down, strict = order.down_rows(), order.down_rows(strict=True)
             for w in carrier:
-                assert order.below(w) == {u for u in carrier if (u, w) in le}
-                assert order.strictly_below(w) == {
+                assert row_members(down[w], carrier) == {u for u in carrier if (u, w) in le}
+                assert row_members(strict[w], carrier) == {
                     u for u in carrier if (u, w) in le and (w, u) not in le}
 
     @settings(max_examples=200)
@@ -400,7 +452,7 @@ class TestRowConstruction:
 
 
 # ---------------------------------------------------------------------------
-# The transposer, the mirrored rows of rewritten orders, and the closure,
+# The tracer's up-row shim, the rows of rewritten orders, and the closure,
 # each against a reference on plain pair sets.
 
 def row_members(row, ids):
@@ -419,10 +471,11 @@ def transposed(up):
     return down
 
 
-def assert_down_rows_transpose_up_rows(order):
-    up = dict(order.up_rows())
+def assert_shim_mirrors_down_rows(order):
+    """The _up shim of a closed order is its down rows' transpose."""
+    up = order._up
     down = order.down_rows()
-    assert set(down) == set(order.carrier)
+    assert set(down) == set(up) == set(order.carrier)
     assert {u: row_members(r, up) for u, r in down.items()} == transposed(up)
 
 
@@ -440,7 +493,7 @@ def carriers(draw):
 
 @st.composite
 def row_sets(draw):
-    """A carrier with arbitrary up rows inside it (not closed)."""
+    """A carrier with arbitrary rows inside it (not closed)."""
     worlds = draw(carriers())
     ids = sorted(worlds)
     up = {}
@@ -454,12 +507,20 @@ def random_rows(ids, rng):
     return {w: sum(1 << u for u in ids if rng.random() < 0.4) for w in ids}
 
 
+def closed_from_rows(worlds, up):
+    """The closure of the pairs (w, u) for each bit u of up[w]."""
+    return md.Preorder.from_pairs(
+        worlds, [(w, u) for w, row in up.items() for u in row_members(row, worlds)])
+
+
 class TestTranspose:
+    """The shim on closed orders over dense, gapped and far-flung ids."""
+
     @settings(max_examples=300)
     @given(row_sets())
-    def test_down_rows_are_the_pair_set_transpose(self, rows):
+    def test_shim_is_the_pair_set_mirror(self, rows):
         worlds, up = rows
-        assert_down_rows_transpose_up_rows(md.Preorder(worlds, up))
+        assert_shim_mirrors_down_rows(closed_from_rows(worlds, up))
 
     @pytest.mark.parametrize("span", [1, 7, 8, 9, 63, 64, 65, 255, 256, 257])
     @pytest.mark.parametrize("shape", ["dense", "gapped", "ends"])
@@ -469,52 +530,29 @@ class TestTranspose:
                "gapped": sorted(set(range(0, span, 3)) | {span - 1}),
                "ends": sorted({0, span - 1})}[shape]
         worlds = frozenset(ids)
-        assert_down_rows_transpose_up_rows(
-            md.Preorder(worlds, random_rows(sorted(worlds), rng)))
+        assert_shim_mirrors_down_rows(
+            closed_from_rows(worlds, random_rows(sorted(worlds), rng)))
 
     def test_empty_carrier(self):
-        o = md.Preorder(frozenset(), {})
+        o = md.Preorder.from_pairs(frozenset(), [])
         assert dict(o.down_rows()) == {} and dict(o.down_rows(strict=True)) == {}
+        assert o._up == {}
 
     @pytest.mark.parametrize("w", [0, 5, 64, 1_000_000])
     def test_single_world(self, w):
-        o = md.Preorder(frozenset({w}), {w: 1 << w})
+        o = md.Preorder.from_pairs(frozenset({w}), [])
         assert dict(o.down_rows()) == {w: 1 << w}
         assert dict(o.down_rows(strict=True)) == {w: 0}
 
     def test_far_flung_ids(self):
-        worlds = frozenset({0, 1_000_000})
-        up = {0: 1 | 1 << 1_000_000, 1_000_000: 1 << 1_000_000}
-        o = md.Preorder(worlds, up)
+        o = md.Preorder.from_pairs(frozenset({0, 1_000_000}), [(0, 1_000_000)])
         assert dict(o.down_rows()) == {0: 1, 1_000_000: 1 | 1 << 1_000_000}
-
-    @pytest.mark.parametrize("span", [64, 65])
-    def test_ids_on_either_side_of_the_cut_over(self, span):
-        # 16 worlds: a span of 64 is transposed at the ids, 65 at the ranks.
-        ids = sorted({0, 1, 2, 20, 21, 40} | set(range(span - 10, span)))
-        assert_down_rows_transpose_up_rows(
-            md.Preorder(frozenset(ids), random_rows(ids, random.Random(span))))
-
-    def test_far_apart_worlds_keep_the_matrix_carrier_sized(self, monkeypatch):
-        calls = []
-        swap = md._swap
-
-        def recording_swap(data, side):
-            calls.append((len(data), side))
-            return swap(data, side)
-
-        monkeypatch.setattr(md, "_swap", recording_swap)
-        ids = [k * 4096 for k in range(256)]
-        o = md.Preorder(frozenset(ids), random_rows(ids, random.Random(1)))
-        assert len(calls) == 1
-        size, side = calls[0]
-        assert side == 256 and size <= side * side // 8
-        assert_down_rows_transpose_up_rows(o)
+        assert o._up == {0: 1 | 1 << 1_000_000, 1_000_000: 1 << 1_000_000}
 
 
 class TestDownOnlyRewrites:
     """Upgrade and contraction build down rows and strict down rows from
-    the old down rows alone, and leave the up rows to their first read."""
+    the old ones alone."""
 
     @settings(max_examples=300)
     @given(sparse_models(), gen.prop_formulas(), gen.order_tags(), st.booleans())
@@ -530,7 +568,6 @@ class TestDownOnlyRewrites:
         assert got.pairs == expected
         assert got.strict_pairs() == oracles.strict(expected)
         assert got.reduction_pairs() == canonical_reduction(m.worlds, expected)
-        assert old._lazy_up is None and got._lazy_up is None
 
 
 def shuffled_ids(n, seed):
@@ -606,13 +643,13 @@ class TestReductionShapes:
 class TestMirroredRows:
     @settings(max_examples=200)
     @given(sparse_models(), gen.prop_formulas(), gen.order_tags())
-    def test_upgrade_down_rows_transpose_its_up_rows(self, m, phi, tag):
-        assert_down_rows_transpose_up_rows(dynamics.upgrade(m, tag, phi).order(tag))
+    def test_upgrade_down_rows_mirror_the_shim(self, m, phi, tag):
+        assert_shim_mirrors_down_rows(dynamics.upgrade(m, tag, phi).order(tag))
 
     @settings(max_examples=200)
     @given(sparse_models(), gen.prop_formulas(), gen.order_tags())
-    def test_contract_down_rows_transpose_its_up_rows(self, m, phi, tag):
-        assert_down_rows_transpose_up_rows(dynamics.contract(m, tag, phi).order(tag))
+    def test_contract_down_rows_mirror_the_shim(self, m, phi, tag):
+        assert_shim_mirrors_down_rows(dynamics.contract(m, tag, phi).order(tag))
 
     @settings(max_examples=100)
     @given(sparse_models(), st.lists(st.tuples(st.booleans(), gen.prop_formulas(),
@@ -622,7 +659,7 @@ class TestMirroredRows:
             m = (dynamics.upgrade if is_upgrade else dynamics.contract)(m, tag, phi)
         for tag in ("P", "D"):
             o = m.order(tag)
-            assert_down_rows_transpose_up_rows(o)
+            assert_shim_mirrors_down_rows(o)
             strict = {u: row_members(r, m.worlds)
                       for u, r in o.down_rows(strict=True).items()}
             pairs = o.pairs
@@ -647,12 +684,11 @@ class TestClosureOfClosedInputs:
                            if u // block >= w // block)
         o = md.Preorder.from_pairs(worlds, closed)
         assert o.pairs == closed
-        assert_down_rows_transpose_up_rows(o)
+        assert_shim_mirrors_down_rows(o)
 
 
 # ---------------------------------------------------------------------------
-# Down-first loading: documents close to down rows, and up rows are
-# transposed only when read.
+# Loading: documents close to down rows and strict down rows.
 
 @st.composite
 def generator_documents(draw):
@@ -697,61 +733,57 @@ class TestDownFirstLoad:
                     for u, r in order.down_rows(strict=True).items()} == {
                 u: {w for w in ids if (w, u) in closed and (u, w) not in closed}
                 for u in ids}
-            assert {w: row_members(r, ids) for w, r in order.up_rows().items()} == {
+            assert {w: row_members(r, ids) for w, r in order._up.items()} == {
                 w: {u for u in ids if (w, u) in closed} for w in ids}
 
     @settings(max_examples=150)
     @given(generator_documents(), st.randoms(use_true_random=False))
-    def test_restrict_ignores_whether_up_rows_were_read(self, doc, rng):
-        unread, read = closed_orders(doc), closed_orders(doc)
-        for (a, closed), (b, _) in zip(unread, read):
-            b.up_rows()
-            keep = frozenset(rng.sample(sorted(a.carrier), k=rng.randint(0, len(a.carrier))))
-            ra, rb = a.restrict(keep), b.restrict(keep)
-            assert ra == rb
-            assert dict(ra.down_rows()) == dict(rb.down_rows())
-            assert dict(ra.down_rows(strict=True)) == dict(rb.down_rows(strict=True))
-            assert dict(ra.up_rows()) == dict(rb.up_rows())
-            assert ra.pairs == {(w, u) for w, u in closed if w in keep and u in keep}
+    def test_restrict_keeps_the_closure_inside_keep(self, doc, rng):
+        for order, closed in closed_orders(doc):
+            keep = frozenset(rng.sample(sorted(order.carrier),
+                                        k=rng.randint(0, len(order.carrier))))
+            inside = {(w, u) for w, u in closed if w in keep and u in keep}
+            got = order.restrict(keep)
+            assert got.pairs == inside
+            assert got.strict_pairs() == oracles.strict(inside)
+            assert got.carrier == keep and set(got.down_rows()) == keep
 
     @settings(max_examples=150)
     @given(generator_documents())
-    def test_equals_the_order_built_from_closed_up_rows(self, doc):
+    def test_equals_the_order_built_from_closed_rows(self, doc):
         for order, closed in closed_orders(doc):
-            up = {w: sum(1 << u for u in order.carrier if (w, u) in closed)
-                  for w in order.carrier}
-            eager = md.Preorder(order.carrier, up)
-            assert order == eager and eager == order
-            assert hash(order) == hash(eager)
-            assert order._lazy_up is None  # comparing read no up rows
+            built = rows_order(order.carrier, closed)
+            assert order == built and built == order
+            assert hash(order) == hash(built)
+            assert dict(order.down_rows(strict=True)) == dict(built.down_rows(strict=True))
 
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 CHAIN_MODEL = FIXTURES / "chain_model.json"
 
 
-class TestTransposeTraffic:
-    """Which commands transpose: only code that reads up rows pays for one."""
+class TestShimTraffic:
+    """No command reads up rows: only the benchmark's tracer reads the shim."""
 
     @pytest.fixture
-    def transposed(self, monkeypatch):
+    def shim_reads(self, monkeypatch):
         calls = []
-        transpose = md._transpose
+        shim = md.Preorder._up.fget
 
-        def recording_transpose(carrier, rows):
-            calls.append(dict(rows))
-            return transpose(carrier, rows)
+        def recording_shim(order):
+            calls.append(order)
+            return shim(order)
 
-        monkeypatch.setattr(md, "_transpose", recording_transpose)
+        monkeypatch.setattr(md.Preorder, "_up", property(recording_shim))
         return calls
 
     @pytest.mark.parametrize("argv", [["eval", "--formula", "B(p)"], ["extract"]])
-    def test_down_row_commands_transpose_nothing(self, transposed, capsys, argv):
+    def test_down_row_commands_never_read_the_shim(self, shim_reads, capsys, argv):
         assert cli.main([argv[0], "--model", str(CHAIN_MODEL), *argv[1:]]) in (0, 1)
         assert capsys.readouterr().err == ""
-        assert transposed == []
+        assert shim_reads == []
 
-    def test_induce_transposes_nothing(self, transposed, capsys, tmp_path):
+    def test_induce_never_reads_the_shim(self, shim_reads, capsys, tmp_path):
         out = tmp_path / "model.json"
         assert cli.main(["induce", "--program", str(FIXTURES / "running_program.json"),
                          "--library", str(FIXTURES / "running_library.json"),
@@ -759,9 +791,9 @@ class TestTransposeTraffic:
         assert cli.main(["induce", "--program",
                          str(FIXTURES / "three_atom_program.json"), "--json"]) == 0
         assert capsys.readouterr().err == ""
-        assert transposed == []
+        assert shim_reads == []
 
-    def test_rewrites_and_dumps_transpose_nothing(self, transposed, capsys, tmp_path):
+    def test_rewrites_and_dumps_never_read_the_shim(self, shim_reads, capsys, tmp_path):
         script = tmp_path / "rewrite.script"
         script.write_text("upgrade P p\ncontract D q\nupgrade D ~p\ncontract P p\n")
         out = tmp_path / "final.json"
@@ -770,5 +802,5 @@ class TestTransposeTraffic:
         assert cli.main(["eval", "--model", str(CHAIN_MODEL),
                          "--formula", "[up_P p]([drop_D q](B(p) & G(q)))"]) in (0, 1)
         assert capsys.readouterr().err == ""
-        assert transposed == []
+        assert shim_reads == []
         assert md.load_model(json.loads(out.read_text())).worlds == frozenset(range(4))
