@@ -14,18 +14,20 @@ the interpreter and CPU it ran on, to a JSON file. A run whose command exits
 non-zero is reported on stderr and left out of the file, and the script then
 exits 1.
 
-Test programs at n atoms, both over atoms a0..a(n-1) with no knowledge and
+Test programs at n atoms, all over atoms a0..a(n-1) with no knowledge and
 no intentions:
 - ranked: the belief graph ranks every atom (a_i at rank i); the desire
   graph ranks a0|a1, a1|a2 and a2|a3;
 - few-node: the belief graph ranks a0 then a1; the desire graph has the
-  one node a0|a1.
+  one node a0|a1;
+- pareto: every atom is a belief node and no edge orders them, so the
+  belief order is not total; the desire graph is few-node's.
 
 The library L holds four plans s0..s3, plan s_i with precondition T and
 post-condition a_(i mod n). No plan is adopted, so Int(a0) holds nowhere
 and its negation everywhere; evaluating it still executes every plan.
 
-    python3 scripts/scale_sweep.py --atoms 4 6 8 10 11 12 13 --out BENCH_15.json
+    python3 scripts/scale_sweep.py --atoms 4 6 8 10 11 12 13 --out BENCH_16.json
 """
 
 import argparse
@@ -73,7 +75,19 @@ def few_node_program(n: int) -> dict:
     }
 
 
-PROGRAMS = {"ranked": ranked_program, "few-node": few_node_program}
+def pareto_program(n: int) -> dict:
+    atoms = [f"a{i}" for i in range(n)]
+    return {
+        "atoms": atoms,
+        "K": [],
+        "B": {"nodes": atoms, "edges": []},
+        "D": few_node_program(n)["D"],
+        "I": [],
+    }
+
+
+PROGRAMS = {"ranked": ranked_program, "few-node": few_node_program,
+            "pareto": pareto_program}
 
 
 def sweep_library(n: int) -> dict:
@@ -152,7 +166,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--atoms", type=int, nargs="+", default=[4, 6, 8, 10, 11, 12, 13])
     ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--out", default=str(ROOT / "BENCH_15.json"))
+    ap.add_argument("--out", default=str(ROOT / "BENCH_16.json"))
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as work:
         rows, failures = sweep(args.atoms, args.repeats, work)
@@ -163,6 +177,8 @@ def main(argv=None) -> int:
                       "D ranks a0|a1, a1|a2, a2|a3, I empty",
             "few-node": "atoms a0..a(n-1), K empty, B ranks a0 then a1, "
                         "D has the one node a0|a1, I empty",
+            "pareto": "atoms a0..a(n-1), K empty, B has every atom as a node "
+                      "and no edges, D has the one node a0|a1, I empty",
         },
         "library": f"{PLANS} plans s0..s{PLANS - 1}, plan s_i: pre T, post a_(i mod n)",
         "python": f"{platform.python_implementation()} {platform.python_version()}",

@@ -10,6 +10,7 @@ switches to a versioned machine-readable form.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -87,7 +88,10 @@ def _emit_error(args, reason: str, detail: str) -> None:
         print(line, file=sys.stderr)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves
+    it unchanged, so every main call can share it."""
     parser = argparse.ArgumentParser(
         prog="mindcheck",
         description="reason about and revise finite BDI mental-state models",
@@ -165,8 +169,10 @@ def _dump_json(doc: dict) -> str:
     json.dumps falls back to its pure-Python encoder whenever an indent is
     given. This writer keeps that layout but renders a list of [int, int]
     pairs, where nearly all of a model document's bytes sit, with a single
-    str.format call over one template per pair. Pieces are gathered in one
-    list and joined once, so large values are not copied at every level.
+    str.format call over one template per pair, and a list of world
+    entries ({"id", "true_atoms"}) from one template per entry. Pieces are
+    gathered in one list and joined once, so large values are not copied
+    at every level.
     """
     out: list[str] = []
     _write(doc, "\n", out)
@@ -207,6 +213,16 @@ def _write(v, nl: str, out: list[str]) -> None:
             body = ("," + inner).join([pair] * len(v))
             out += ("[" + inner, body.format(*chain.from_iterable(v)), nl + "]")
             return
+        if _world_entries(v):
+            item = inner + "  "
+            head = "{" + item + '"id": %d,' + item + '"true_atoms": '
+            atom_sep = "," + item + "  "
+            entries = [head % e["id"]
+                       + ("[" + atom_sep[1:] + atom_sep.join(map(_encode_str, e["true_atoms"]))
+                          + item + "]" if e["true_atoms"] else "[]")
+                       + inner + "}" for e in v]
+            out += ("[" + inner, ("," + inner).join(entries), nl + "]")
+            return
         sep = "[" + inner
         for x in v:
             out.append(sep)
@@ -221,6 +237,20 @@ def _int_pairs(v) -> bool:
     """Whether every item of v is a two-item list of ints (bools excluded)."""
     return (set(map(type, v)) == {list} and set(map(len, v)) == {2}
             and set(map(type, chain.from_iterable(v))) == {int})
+
+
+_ENTRY_KEYS = {"id", "true_atoms"}
+
+
+def _world_entries(v) -> bool:
+    """Whether every item of v is a model document's world entry: a dict
+    with exactly the keys "id", an int (bools excluded), and "true_atoms",
+    a list of strings."""
+    return (set(map(type, v)) == {dict}
+            and all(e.keys() == _ENTRY_KEYS and type(e["id"]) is int
+                    and type(e["true_atoms"]) is list
+                    and all(type(a) is str for a in e["true_atoms"])
+                    for e in v))
 
 
 def _write_out(args, text: str) -> None:

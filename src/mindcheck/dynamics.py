@@ -181,7 +181,10 @@ def graph_contract(ag: pg.AgentProgram, target: str, phi: fm.Formula,
     induced order is contracted and a fresh graph extracted from the result;
     induced-program worlds have injective valuations, which extraction needs.
     A contracted total order stays total, so its graph is the rank-bit
-    chain, ceil(log2 k) nodes for k tie classes.
+    chain, ceil(log2 k) nodes for k tie classes. Any other order comes
+    back as its meet-irreducible down-sets, never more nodes than it has
+    distinct down-sets: the Pareto order of n atoms, contracted by one of
+    them, comes back as n nodes.
     """
     if target not in ("B", "D"):
         raise pg.ProgramError("bad-target", f"graph_contract target {target!r}")

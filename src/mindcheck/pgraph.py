@@ -9,7 +9,7 @@ agent model over the knowledge-consistent valuations.
 
 The converse direction, extract_graph, turns an order of a model back into
 a graph: a total preorder becomes a ranked chain of rank-bit nodes, any
-other order an antichain with one node per distinct down-set.
+other order an antichain with one node per meet-irreducible down-set.
 """
 
 from __future__ import annotations
@@ -149,8 +149,15 @@ def extract_graph(m: md.AgentModel, tag: str) -> PriorityGraph:
     significant bit down, and each outranks every later one, so the
     lexicographic order on the bits is the numeric order of the values.
     That is ceil(log2 k) nodes, none for k <= 1. Any other order becomes
-    the antichain of down-set formulas: one node per distinct down-set, in
-    the order of its first world's valuation bits, and no edges.
+    an antichain of down-set formulas with no edges: one node per distinct
+    meet-irreducible down-set, in the order of its first world's valuation
+    bits. A down-set is meet-irreducible when it is not the intersection
+    of the strictly larger ones, so the full set is never a node. These
+    are the unique minimal family of down-sets whose intersections give
+    every down-set (Davey & Priestley 2002; Ganter & Wille 1999), and since
+    w <= u exactly when every node holding at u holds at w, they induce
+    the order. The Pareto order of n atoms, each a node with no edges,
+    comes back as those n atoms rather than 2^n down-sets.
 
     Nodes are true exactly at the valuations of their worlds, so distinct
     worlds must have distinct valuations. Each node is the reduced Shannon
@@ -186,7 +193,8 @@ def extract_graph(m: md.AgentModel, tag: str) -> PriorityGraph:
     def node(row: int) -> fm.Formula:
         return tree(int("".join(pick(format(row, fmt))), 2))
 
-    down = m.order(tag).down_rows()
+    order = m.order(tag)
+    down = order.down_rows()
     nested = sorted(set(down.values()), key=int.bit_count)
     if all(lo & ~hi == 0 for lo, hi in zip(nested, nested[1:])):
         # nested[k-1-v] holds the worlds of value v or more. Bit j of a value
@@ -201,8 +209,16 @@ def extract_graph(m: md.AgentModel, tag: str) -> PriorityGraph:
             nodes.append(node(row))
         return PriorityGraph(tuple(nodes),
                              frozenset(combinations(range(len(nodes)), 2)))
+    # D_w is meet-reducible exactly when it equals the intersection of its
+    # upper covers' down-sets, the full set when it has none. The
+    # cross-class reduction pairs [w, u] are those covers, so one AND per
+    # cover finds the reducible rows, and they seed the dedupe set.
+    meet = dict.fromkeys(down, md.mask(order.carrier))
+    for w, u in order.reduction_pairs():
+        if down[w] != down[u]:
+            meet[w] &= down[u]
     nodes = []
-    seen: set[int] = set()  # a node is fixed by its down-set: dedupe by row
+    seen = {row for w, row in down.items() if meet[w] == row}
     for bits in sorted(by_val):
         row = down[by_val[bits]]
         if row not in seen:

@@ -4,7 +4,7 @@ Two atoms p, q; empty knowledge; beliefs prioritize q; desires prioritize p
 over q; one adopted plan alpha with trivial precondition achieving p.
 World ids are valuation masks: p is bit 0, q is bit 1.
 
-Also the ranked n-atom program of the scale sweep.
+Also the ranked and Pareto n-atom programs of the scale sweep.
 """
 
 from mindcheck import formulas as fm
@@ -45,4 +45,17 @@ def ranked_program(n: int):
         "atoms": atoms,
         "B": {"nodes": atoms, "ranks": list(range(n))},
         "D": {"nodes": desires, "ranks": list(range(len(desires)))},
+    })
+
+
+def pareto_program(n: int):
+    """Atoms a0 ... a(n-1), no knowledge, no intentions. Every atom is a
+    belief node and no edge orders them, so the belief order is the
+    non-total Pareto order on the atoms; the desires have the one node
+    a0|a1."""
+    atoms = [f"a{i}" for i in range(n)]
+    return pg.load_program({
+        "atoms": atoms,
+        "B": {"nodes": atoms, "edges": []},
+        "D": {"nodes": [" | ".join(atoms[:2])], "ranks": [0]},
     })

@@ -1,10 +1,14 @@
 """The benchmark's tracer (bench/tracing.py) patches engine functions by
 name and reads Preorder rows; this runs it on two commands so that an
-engine change that breaks one of its hooks fails here."""
+engine change that breaks one of its hooks fails here. The benchmark's
+self-test, which checks that its output checks reject corrupted outputs,
+runs here too."""
 
 import importlib.util
 import json
 import pathlib
+import subprocess
+import sys
 
 import mindcheck
 import mindcheck.cli
@@ -46,3 +50,12 @@ def test_tracer_counts_relation_pairs_and_preorder_builds(capsys):
     dump_pairs = len(induced["plausibility"]) + len(induced["desirability"])
     assert tracer.counts["models.relation_pairs"] == load_pairs + dump_pairs
     assert tracer.counts["models.preorder.calls"] > 0
+
+
+def test_benchmark_self_test_passes():
+    # An extract case cuts a world from a node's text. When the cut still
+    # parses, the check rejects it only if the order changes, which holds
+    # for every meet-irreducible node but not always for a reducible one.
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "run.py"), "--self-test"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

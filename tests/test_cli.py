@@ -395,6 +395,11 @@ class TestDumpJson:
         {}, [], [[]], [{}], {"": []}, [[0, 1]], [[True, False]], [[0, 1], [True, 0]],
         {"z\u00e9": "\u0007\u2028\ud83d\ude00", "a": [[-1, 2**70]]},
         float("nan"), float("-inf"), -0.0, None, True, "\x00",
+        # model world entries, which have their own template, and near misses
+        {"worlds": [{"id": 3, "true_atoms": ["a", "b\u00e9"]}, {"id": 0, "true_atoms": []}]},
+        [{"id": True, "true_atoms": []}], [{"id": 1, "true_atoms": ["p"], "z": 0}],
+        [{"id": 1, "true_atoms": [1]}], [{"id": 1, "true_atoms": "p"}],
+        [{"id": 1, "true_atoms": ["p"]}, [0, 1]], [{"id": 2**70, "true_atoms": [""]}],
     ])
     def test_edge_cases(self, value):
         assert cli._dump_json(value) == json.dumps(value, indent=2, sort_keys=True)

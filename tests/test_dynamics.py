@@ -12,7 +12,8 @@ from mindcheck import plans as pl
 import generators
 import oracles
 import strategies as gen
-from common import ranked_program, running_library, running_model, running_program
+from common import (pareto_program, ranked_program, running_library, running_model,
+                    running_program)
 from generators import models_isomorphic
 
 P, Q = fm.Atom("p"), fm.Atom("q")
@@ -376,6 +377,24 @@ class TestGraphContract:
             pg.induce_program(ag, pl.EMPTY_LIBRARY), "P", a0)
         assert graph_side.plausibility == model_side.plausibility
         assert graph_side.desirability == model_side.desirability
+
+    def test_pareto_belief_contraction_stays_program_sized(self):
+        # the belief order is not total: it extracts as its 11 atoms, its
+        # meet-irreducible down-sets, not as all 2^11 distinct down-sets,
+        # and its contraction by a0 has as many irreducible down-sets
+        ag = pareto_program(11)
+        m = pg.induce_program(ag, pl.EMPTY_LIBRARY)
+        beliefs = pg.extract_graph(m, "P")
+        assert sorted(map(fm.render, beliefs.nodes)) == sorted(
+            f"a{i}" for i in range(11))
+        assert beliefs.prec == frozenset()
+        a0 = fm.Atom("a0")
+        got = dynamics.graph_contract(ag, "B", a0, pl.EMPTY_LIBRARY)
+        assert len(got.beliefs.nodes) == 11
+        assert got.desires == ag.desires
+        graph_side = pg.induce_program(got, pl.EMPTY_LIBRARY)
+        model_side = dynamics.contract(m, "P", a0)
+        assert graph_side.plausibility == model_side.plausibility
 
 
 class TestFilterIntentions:

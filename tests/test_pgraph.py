@@ -221,15 +221,20 @@ class TestExtractGraph:
                 assert g.prec == ranked_chain(n_bits)
                 assert pg.induced_order(g, m.worlds, m.valuation) == order
                 continue
-            # expected nodes: each distinct down-set's minterms, in the order
-            # of the worlds' valuation strings over the declared atoms
+            # expected nodes: the minterms of each distinct down-set that is
+            # not the intersection of the strictly larger down-sets (every
+            # world when there are none), in the order of the worlds'
+            # valuation strings over the declared atoms
             bits = {w: "".join("1" if a in true_at[w] else "0" for a in names)
                     for w in worlds}
+            downs = {w: frozenset(u for u in worlds if (u, w) in pairs)
+                     for w in worlds}
             minterms = []
             for w in sorted(worlds, key=bits.get):
-                below = {frozenset(true_at[u]) for u in worlds
-                         if (u, w) in pairs}
-                if below not in minterms:
+                meet = frozenset(worlds).intersection(
+                    *(d for d in downs.values() if d > downs[w]))
+                below = {frozenset(true_at[u]) for u in downs[w]}
+                if meet != downs[w] and below not in minterms:
                     minterms.append(below)
             g = pg.extract_graph(m, "P")
             assert g.prec == frozenset()
@@ -239,6 +244,30 @@ class TestExtractGraph:
                 for code in range(2 ** len(names)):
                     true = {a for i, a in enumerate(names) if code >> i & 1}
                     assert oracles.holds_at(node, true) == (true in below)
+
+    @settings(max_examples=200)
+    @given(gen.agent_models(), gen.order_tags())
+    def test_non_total_orders_extract_as_irreducible_down_sets(self, m, tag):
+        pairs = m.order(tag).pairs
+        worlds = sorted(m.worlds)
+        assume(any((w, u) not in pairs and (u, w) not in pairs
+                   for w in worlds for u in worlds))
+        g = pg.extract_graph(m, tag)
+        assert g.prec == frozenset()
+        true_at = {w: {a for i, a in enumerate(m.atoms) if w >> i & 1}
+                   for w in worlds}
+        exts = [frozenset(w for w in worlds if oracles.holds_at(n, true_at[w]))
+                for n in g.nodes]
+        assert oracles.induced(worlds, exts, []) == pairs
+        # each node is a down-set other than the intersection of the
+        # strictly larger down-sets, taken as every world when none is
+        downs = {frozenset(u for u in worlds if (u, w) in pairs) for w in worlds}
+        irreducible = {d for d in downs
+                       if d != frozenset(worlds).intersection(
+                           *(e for e in downs if e > d))}
+        assert set(exts) == irreducible and len(exts) == len(irreducible)
+        for i in range(len(exts)):
+            assert oracles.induced(worlds, exts[:i] + exts[i + 1:], []) != pairs
 
     def test_more_atoms_than_the_cap_rejected(self):
         atoms = tuple(f"a{i}" for i in range(pg.MAX_PROGRAM_ATOMS + 1))

@@ -21,7 +21,7 @@ def test_small_sweep_writes_one_median_per_command(tmp_path):
     assert [(r["program"], r["atoms"], r["worlds"], r["command"])
             for r in doc["results"]] == [
         (program, n, 2 ** n, command) for n in (4, 6)
-        for program in ("ranked", "few-node")
+        for program in ("ranked", "few-node", "pareto")
         for command in ("induce --out", "eval B(a0)", "eval [up_P a1](B(a1))",
                         "eval ~Int(a0)", "extract")]
     assert all(r["runs"] == 1 and r["median_s"] >= 0 for r in doc["results"])
@@ -38,7 +38,7 @@ def test_failing_commands_are_reported_not_recorded(tmp_path):
     assert proc.returncode == 1
     assert [line.split(":")[1].strip() for line in proc.stderr.splitlines()] == [
         f"{program} program, 17 atoms, {command}"
-        for program in ("ranked", "few-node")
+        for program in ("ranked", "few-node", "pareto")
         for command in ("induce --out", "eval B(a0)", "eval [up_P a1](B(a1))",
                         "eval ~Int(a0)", "extract")]
     assert json.loads(out.read_text())["results"] == []
