@@ -7,6 +7,7 @@ composed revision that drops intentions contradicted by incoming news.
 """
 
 import mindcheck as mc
+from mindcheck.models import ids
 
 PROGRAM = {
     "atoms": ["p", "q"],
@@ -23,9 +24,9 @@ QUERIES = ["B(q|T)", "B(p|T)", "G(p)", "AdmInt(p)", "AdmInt(q)", "Int(p)",
 
 
 def show(m):
-    print(f"  worlds: {sorted(m.worlds)}  "
-          f"min_P: {sorted(m.plausibility.min_set(m.worlds))}  "
-          f"min_D: {sorted(m.desirability.min_set(m.worlds))}  "
+    print(f"  worlds: {ids(m.worlds)}  "
+          f"min_P: {ids(m.plausibility.min_set(m.worlds))}  "
+          f"min_D: {ids(m.desirability.min_set(m.worlds))}  "
           f"I: {sorted(m.intentions)}")
 
 

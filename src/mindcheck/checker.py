@@ -1,8 +1,10 @@
 """Semantic evaluation: the extension of a formula in a finite agent model.
 
-Evaluation is bottom-up over extension sets. Mental-attitude sugar expands
-to its defining A/E-prefixed form first, so attitude formulas always come
-out globally uniform (extension empty or the whole world set) and the
+Evaluation is bottom-up over extension masks (bit w for world w, as in
+models): connectives are mask operations, and a box or diamond tests each
+world's order row against its argument's mask. Mental-attitude sugar
+expands to its defining A/E-prefixed form first, so attitude formulas always
+come out globally uniform (extension 0 or the whole world mask) and the
 per-formula memo is sound. Dynamic and plan modalities build the transformed
 model and evaluate the body there; worlds the transformation removes satisfy
 the modality vacuously.
@@ -26,9 +28,8 @@ class EmptyModelError(CheckError):
     pass
 
 
-def extension(m: md.AgentModel, lib: pl.PlanLibrary,
-              f: fm.Formula) -> frozenset[md.WorldId]:
-    """The set of worlds of m at which f holds."""
+def extension(m: md.AgentModel, lib: pl.PlanLibrary, f: fm.Formula) -> int:
+    """The mask of the worlds of m at which f holds."""
     if not m.worlds:
         raise EmptyModelError("cannot evaluate formulas on an empty model")
     core = fm.desugar(f, lib)
@@ -44,15 +45,15 @@ class _Evaluator:
     def __init__(self, m: md.AgentModel, lib: pl.PlanLibrary):
         self.m = m
         self.lib = lib
-        self.memo: dict[fm.Formula, frozenset[md.WorldId]] = {}
+        self.memo: dict[fm.Formula, int] = {}
 
-    def ext(self, f: fm.Formula) -> frozenset[md.WorldId]:
+    def ext(self, f: fm.Formula) -> int:
         cached = self.memo.get(f)
         if cached is None:
             cached = self.memo[f] = self._ext(f)
         return cached
 
-    def _ext(self, f: fm.Formula) -> frozenset[md.WorldId]:
+    def _ext(self, f: fm.Formula) -> int:
         m = self.m
         if isinstance(f, fm.Atom):
             if f.name not in m.valuation:
@@ -61,57 +62,58 @@ class _Evaluator:
         if isinstance(f, fm.Top):
             return m.worlds
         if isinstance(f, fm.Bottom):
-            return frozenset()
+            return 0
         if isinstance(f, fm.Not):
-            return m.worlds - self.ext(f.child)
+            return m.worlds & ~self.ext(f.child)
         if isinstance(f, fm.And):
             return self.ext(f.left) & self.ext(f.right)
         if isinstance(f, fm.Or):
             return self.ext(f.left) | self.ext(f.right)
         if isinstance(f, fm.Implies):
-            return (m.worlds - self.ext(f.left)) | self.ext(f.right)
+            return (m.worlds & ~self.ext(f.left)) | self.ext(f.right)
         if isinstance(f, fm.A):
-            return m.worlds if self.ext(f.child) == m.worlds else frozenset()
+            return m.worlds if self.ext(f.child) == m.worlds else 0
         if isinstance(f, fm.E):
-            return m.worlds if self.ext(f.child) else frozenset()
+            return m.worlds if self.ext(f.child) else 0
+        # rows are keyed by the carrier, m.worlds; distinct bits sum to a mask
         if isinstance(f, fm.Box):
-            outside = ~md.mask(self.ext(f.child))
+            outside = ~self.ext(f.child)
             rows = m.order(f.order).down_rows(f.strict)
-            return frozenset(w for w in m.worlds if not rows[w] & outside)
+            return sum(1 << w for w, row in rows.items() if not row & outside)
         if isinstance(f, fm.Diamond):
-            inside = md.mask(self.ext(f.child))
+            inside = self.ext(f.child)
             rows = m.order(f.order).down_rows(f.strict)
-            return frozenset(w for w in m.worlds if rows[w] & inside)
+            return sum(1 << w for w, row in rows.items() if row & inside)
         if isinstance(f, fm.DynMod):
             return self._dynamic(f)
         if isinstance(f, fm.PlanMod):
             return self._plan_step(f)
         if isinstance(f, fm.Intends):
-            return m.worlds if f.plan in m.intentions else frozenset()
+            return m.worlds if f.plan in m.intentions else 0
         raise CheckError(f"cannot evaluate {f!r}")
 
-    def _dynamic(self, f: fm.DynMod) -> frozenset[md.WorldId]:
+    def _dynamic(self, f: fm.DynMod) -> int:
         m = self.m
         if f.op == "announce":
             survivors = self.ext(f.argument)
             if not survivors:
                 return m.worlds  # nothing to announce truthfully anywhere
             transformed = dy.announce(m, f.argument)
-            return (m.worlds - survivors) | extension(transformed, self.lib, f.body)
+            return (m.worlds & ~survivors) | extension(transformed, self.lib, f.body)
         if f.op == "upgrade":
             transformed = dy.upgrade(m, f.order, f.argument)
         else:
             transformed = dy.contract(m, f.order, f.argument)
         return extension(transformed, self.lib, f.body)
 
-    def _plan_step(self, f: fm.PlanMod) -> frozenset[md.WorldId]:
+    def _plan_step(self, f: fm.PlanMod) -> int:
         m = self.m
         plan = self.lib.get(f.plan)
         executable = self.ext(plan.pre)
         if not executable:
             return m.worlds  # nowhere executable, vacuously satisfied
         transformed = dy.product_update(m, self.lib, f.plan)
-        return (m.worlds - executable) | extension(transformed, self.lib, f.body)
+        return (m.worlds & ~executable) | extension(transformed, self.lib, f.body)
 
 
 def check_proposition1(m: md.AgentModel,

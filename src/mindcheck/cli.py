@@ -273,7 +273,7 @@ def cmd_eval(args) -> int:
     verdict = ext == m.worlds
     bits = m.bits_by_world
     worlds = [
-        {"id": w, "bits": bits[w], "holds": w in ext}
+        {"id": w, "bits": bits[w], "holds": bool(ext >> w & 1)}
         for w in md.sorted_worlds(m)
     ]
     doc = {
@@ -352,14 +352,14 @@ def _step_report(index: int, line: str, m: md.AgentModel,
     if m.worlds:
         failure = pl.check_p_consistency(m, lib)
         consistent: Optional[bool] = failure is None
-        min_p = sorted(m.plausibility.min_set(m.worlds))
-        min_d = sorted(m.desirability.min_set(m.worlds))
+        min_p = md.ids(m.plausibility.min_set(m.worlds))
+        min_d = md.ids(m.desirability.min_set(m.worlds))
     else:
         consistent = None
         min_p = []
         min_d = []
     return {
-        "index": index, "op": line, "worlds": len(m.worlds),
+        "index": index, "op": line, "worlds": m.worlds.bit_count(),
         "min_P": min_p, "min_D": min_d,
         "intentions": sorted(m.intentions),
         "p_consistent": consistent,
@@ -368,7 +368,7 @@ def _step_report(index: int, line: str, m: md.AgentModel,
 
 def _print_step(report: dict, m: md.AgentModel) -> None:
     def label(ws):
-        return " ".join(f"{w}({m.world_bits(w)})" for w in ws) or "-"
+        return " ".join(f"{w}({m.bits_by_world[w]})" for w in ws) or "-"
 
     consistent = report["p_consistent"]
     flag = "n/a" if consistent is None else ("yes" if consistent else "no")

@@ -36,14 +36,13 @@ def upgrade(m: md.AgentModel, target: str, phi: fm.Formula) -> md.AgentModel:
     all pairs from the phi zone into the rest are added, the converse pairs
     removed.
     """
-    sat = md.satisfying_worlds(phi, m.worlds, m.valuation)
+    top = md.satisfying_worlds(phi, m.worlds, m.valuation)
     old = m.order(target)
     cols, scols = old.down_rows(), old.down_rows(strict=True)
-    top = md.mask(sat)
     # a phi-world keeps what lay (strictly) below it in the phi zone; every
     # other world also gets the whole phi zone strictly below it
-    down = {u: cols[u] & top if u in sat else cols[u] | top for u in m.worlds}
-    strict = {u: scols[u] & top if u in sat else scols[u] | top for u in m.worlds}
+    down = {u: row & top if top >> u & 1 else row | top for u, row in cols.items()}
+    strict = {u: row & top if top >> u & 1 else row | top for u, row in scols.items()}
     return m.with_order(target, md.Preorder(m.worlds, down, strict))
 
 
@@ -54,16 +53,14 @@ def contract(m: md.AgentModel, target: str, phi: fm.Formula) -> md.AgentModel:
     worlds, or w <= w' held and w' is not one of those promoted minima.
     """
     old = m.order(target)
-    counter = m.worlds - md.satisfying_worlds(phi, m.worlds, m.valuation)
-    min_all = old.min_set(m.worlds)
+    counter = m.worlds & ~md.satisfying_worlds(phi, m.worlds, m.valuation)
     min_counter = old.min_set(counter)
-    bottom = min_all | min_counter
+    low = old.min_set(m.worlds) | min_counter
     cols, scols = old.down_rows(), old.down_rows(strict=True)
-    low = md.mask(bottom)
-    down = {u: low if u in min_counter else cols[u] | low for u in m.worlds}
+    down = {u: low if min_counter >> u & 1 else row | low for u, row in cols.items()}
     # the promoted minima lie below every world, so nothing lies strictly
     # below them; they lie strictly below every other world
-    strict = {u: 0 if u in bottom else scols[u] | low for u in m.worlds}
+    strict = {u: 0 if low >> u & 1 else row | low for u, row in scols.items()}
     return m.with_order(target, md.Preorder(m.worlds, down, strict))
 
 
@@ -84,7 +81,7 @@ def product_update(m: md.AgentModel, lib: pl.PlanLibrary,
         if a not in m.valuation:
             raise md.UnknownAtomError(f"plan {symbol}: unknown atom {a!r}")
     valuation = {
-        a: (keep if lits[a] else frozenset()) if a in lits else ws
+        a: (keep if lits[a] else 0) if a in lits else ws
         for a, ws in restricted.valuation.items()
     }
     return dataclasses.replace(restricted, valuation=valuation)

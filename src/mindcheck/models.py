@@ -1,18 +1,19 @@
 """Finite world sets, valuations, preorders, and agent models.
 
-Worlds are small non-negative integers whose identity is stable within a
-model value: restriction keeps surviving ids, and ids are never reused.
-Relations are stored densely as per-world bit rows, one int per world,
-in two row sets: a down row (the worlds at or below w) and a strict down
-row (those strictly below). Every attitude is read from what lies below a
-world, so nothing else is kept. Each order comes from the one Preorder
-constructor, which takes both row sets as they are. Loading closes the
-reversed generator pairs, which gives the down rows and the tie classes
-directly. Induction from a priority graph computes one down row per tie
-class, since worlds tie exactly when they satisfy the same graph nodes
-(Andreka, Ryan & Schobbens 2002). Restriction masks both row sets,
-upgrade and contraction derive them from the old ones, and the reduction
-a document is written from reads down rows only.
+World sets are int masks, bit w for world w: a model's worlds, each atom's
+valuation, every extension and every order row. World ids are small
+non-negative integers, stable within a model value: restriction keeps
+surviving ids, and ids are never reused. Each order stores two masks per
+world: a down row (the worlds at or below w) and a strict down row (those
+strictly below). Every attitude is read from what lies below a world, so
+nothing else is kept. Each order comes from the one Preorder constructor,
+which takes both row sets as they are. Loading closes the reversed
+generator pairs, which gives the down rows and the tie classes directly.
+Induction from a priority graph computes one down row per tie class, since
+worlds tie exactly when they satisfy the same graph nodes (Andreka, Ryan &
+Schobbens 2002). Restriction masks both row sets, upgrade and contraction
+derive them from the old ones, and the reduction a document is written
+from reads down rows only.
 
 Preorder._up closes the reduction's pairs into up rows on every read. The
 engine never reads it: it serves the benchmark's tracer, which counts
@@ -24,13 +25,16 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import chain, compress
 from operator import or_
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import formulas as fm
 
 WorldId = int
+
+# A program's worlds are the ids below 2**MAX_PROGRAM_ATOMS; so are a document's.
+MAX_PROGRAM_ATOMS = 16
 
 
 class ModelError(Exception):
@@ -56,16 +60,33 @@ class Violation:
 
 
 def mask(worlds: Iterable[WorldId]) -> int:
-    """A world set as a bit mask: bit w set for each world w."""
-    m = 0
+    """The mask of some world ids, built in a byte buffer so that the cost
+    is linear in the ids and the highest one."""
+    worlds = list(worlds)
+    buf = bytearray((max(worlds, default=-1) >> 3) + 1)
     for w in worlds:
-        m |= 1 << w
-    return m
+        buf[w >> 3] |= 1 << (w & 7)
+    return int.from_bytes(buf, "little")
+
+
+def ids(worlds: int) -> list[WorldId]:
+    """The worlds of a mask, ascending, read from its binary text."""
+    text = format(worlds, "b")[::-1]
+    return list(compress(range(len(text)), map("1".__eq__, text)))
+
+
+def columns(masks: Sequence[int], worlds: int) -> dict[WorldId, str]:
+    """Per world w of the mask worlds, the string whose character i is bit
+    w of masks[i]: a world's valuation bits, or its node signature."""
+    width = worlds.bit_length()
+    rows = [format(x, f"0{width}b")[::-1] for x in masks]
+    cols = list(map("".join, zip(*rows))) if rows else [""] * width
+    return {w: cols[w] for w in ids(worlds)}
 
 
 def _bits(row: int):
     """The set bits of row, ascending, one at a time: cheap on sparse rows
-    and when the caller stops early."""
+    and when the caller stops early, where ids() reads the whole width."""
     while row:
         low = row & -row
         yield low.bit_length() - 1
@@ -153,10 +174,11 @@ def _closure(rows: dict[WorldId, int]) -> tuple[dict[WorldId, int],
 class Preorder:
     """A binary relation over a finite carrier, intended reflexive+transitive.
 
-    Values are immutable once built. An order holds two row sets: per world
-    w, its down row (the u with u <= w) and its strict down row (the u with
-    u < w). The one constructor takes both as they are and does not force
-    the invariants: validate() reports the first violation. from_pairs,
+    Values are immutable once built. The carrier is a world mask, and an
+    order holds two row sets keyed by its worlds: per world w, its down row
+    (the u with u <= w) and its strict down row (the u with u < w). The one
+    constructor takes all three as they are and does not force the
+    invariants: validate() reports the first violation. from_pairs,
     identity, total and restrict build through it, and so do induction and
     the dynamic rewrites. Down sets, minima, le, pairs, the reduction,
     validation, equality and hashing all read down rows. The _up property
@@ -165,9 +187,9 @@ class Preorder:
 
     __slots__ = ("carrier", "_down", "_sdown")
 
-    def __init__(self, carrier: Iterable[WorldId], down: dict[WorldId, int],
+    def __init__(self, carrier: int, down: dict[WorldId, int],
                  strict: dict[WorldId, int]):
-        object.__setattr__(self, "carrier", frozenset(carrier))
+        object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "_down", down)
         object.__setattr__(self, "_sdown", strict)
 
@@ -175,41 +197,39 @@ class Preorder:
         raise AttributeError("Preorder is immutable")
 
     @classmethod
-    def from_pairs(cls, carrier: Iterable[WorldId],
+    def from_pairs(cls, carrier: int,
                    pairs: Iterable[tuple[WorldId, WorldId]]) -> "Preorder":
         """The order generated by pairs (w, u), read w <= u.
 
         Each pair sets bit w of u's down row, and one closure pass over
-        those rows gives the down rows and strict down rows.
+        those rows gives the down rows and strict down rows. No pair end
+        outside the carrier is ever shifted into a mask.
         """
-        carrier = frozenset(carrier)
         pairs = list(pairs)
-        if not set(chain.from_iterable(pairs)) <= carrier:
-            w, u = next((w, u) for w, u in pairs
-                        if w not in carrier or u not in carrier)
+        down = dict.fromkeys(ids(carrier), 0)
+        if not set(chain.from_iterable(pairs)) <= down.keys():
+            w, u = next((w, u) for w, u in pairs if w not in down or u not in down)
             raise ModelError(f"relation pair ({w},{u}) leaves the carrier")
-        down = dict.fromkeys(carrier, 0)
         for w, u in pairs:
             down[u] |= 1 << w
         return cls(carrier, *_closure(down))
 
     @classmethod
-    def identity(cls, carrier: Iterable[WorldId]) -> "Preorder":
-        carrier = frozenset(carrier)
-        return cls(carrier, {w: 1 << w for w in carrier}, dict.fromkeys(carrier, 0))
+    def identity(cls, carrier: int) -> "Preorder":
+        worlds = ids(carrier)
+        return cls(carrier, {w: 1 << w for w in worlds}, dict.fromkeys(worlds, 0))
 
     @classmethod
-    def total(cls, carrier: Iterable[WorldId]) -> "Preorder":
-        carrier = frozenset(carrier)
-        return cls(carrier, dict.fromkeys(carrier, mask(carrier)),
-                   dict.fromkeys(carrier, 0))
+    def total(cls, carrier: int) -> "Preorder":
+        worlds = ids(carrier)
+        return cls(carrier, dict.fromkeys(worlds, carrier), dict.fromkeys(worlds, 0))
 
     @property
     def _up(self) -> dict[WorldId, int]:
         """Per world w, the mask of all u with w <= u, closed from the
         reduction's pairs on every read. Only the benchmark's tracer reads
         it (bench/tracing.py counts relation pairs from it)."""
-        up = dict.fromkeys(self.carrier, 0)
+        up = dict.fromkeys(self._down, 0)
         for w, u in self.reduction_pairs():
             up[w] |= 1 << u
         return _closure(up)[0]
@@ -230,13 +250,13 @@ class Preorder:
     @property
     def pairs(self) -> frozenset[tuple[WorldId, WorldId]]:
         return frozenset(
-            (w, u) for u in self.carrier for w in _bits(self._down[u])
+            (w, u) for u, row in self._down.items() for w in _bits(row)
         )
 
     def strict_pairs(self) -> frozenset[tuple[WorldId, WorldId]]:
         """The strict part: all (w,u) with w <= u and not u <= w."""
         return frozenset(
-            (w, u) for u in self.carrier for w in _bits(self._sdown[u])
+            (w, u) for u, row in self._sdown.items() for w in _bits(row)
         )
 
     def reduction_pairs(self) -> list[list[WorldId]]:
@@ -259,11 +279,11 @@ class Preorder:
         spread over the whole extension).
         """
         down, sdown = self._down, self._sdown
-        ties = {w: down[w] & ~sdown[w] for w in self.carrier}
+        ties = {w: row & ~sdown[w] for w, row in down.items()}
         minima = sorted((w for w, t in ties.items() if t & -t == 1 << w),
                         key=lambda w: down[w].bit_count())
         place = {w: i for i, w in enumerate(minima)}
-        out = dict.fromkeys(self.carrier, 0)
+        out = dict.fromkeys(down, 0)
         for w, t in ties.items():
             if t != 1 << w:
                 later = t >> (w + 1) << (w + 1)
@@ -285,35 +305,33 @@ class Preorder:
                     if not left:
                         break
         pairs: list[list[WorldId]] = []
-        for w in sorted(self.carrier):
+        for w in sorted(out):
             for u in _bits(out[w]):
                 pairs.append([w, u])
         return pairs
 
-    def min_set(self, s: Iterable[WorldId]) -> frozenset[WorldId]:
-        """Members of s with no strictly smaller member of s."""
-        s = frozenset(s)
-        if not s <= self.carrier:
-            raise ModelError(f"worlds {sorted(s - self.carrier)} outside carrier")
-        smask = mask(s)
-        return frozenset(w for w in s if self._sdown[w] & smask == 0)
+    def min_set(self, s: int) -> int:
+        """The worlds of mask s with no strictly smaller world in s."""
+        if s & ~self.carrier:
+            raise ModelError(f"worlds {ids(s & ~self.carrier)} outside carrier")
+        sdown = self._sdown
+        return sum(1 << w for w in ids(s) if not sdown[w] & s)
 
-    def restrict(self, keep: Iterable[WorldId]) -> "Preorder":
-        keep = frozenset(keep)
-        if not keep <= self.carrier:
-            raise ModelError(f"worlds {sorted(keep - self.carrier)} outside carrier")
-        kmask = mask(keep)
-        return Preorder(keep, {w: self._down[w] & kmask for w in keep},
-                        {w: self._sdown[w] & kmask for w in keep})
+    def restrict(self, keep: int) -> "Preorder":
+        if keep & ~self.carrier:
+            raise ModelError(f"worlds {ids(keep & ~self.carrier)} outside carrier")
+        worlds = ids(keep)
+        return Preorder(keep, {w: self._down[w] & keep for w in worlds},
+                        {w: self._sdown[w] & keep for w in worlds})
 
     def validate(self) -> Optional[Violation]:
         """The first missing reflexive pair, else the first missing
         transitive one: for x and u <= x in ascending order, the lowest w
         in u's down row but not in x's."""
-        for w in sorted(self.carrier):
+        for w in sorted(self._down):
             if not self.le(w, w):
                 return Violation("reflexivity", (w,))
-        for x in sorted(self.carrier):
+        for x in sorted(self._down):
             row = self._down[x]
             for u in _bits(row):
                 missing = self._down[u] & ~row
@@ -331,13 +349,13 @@ class Preorder:
 
     def __repr__(self):
         nonrefl = sorted((w, u) for (w, u) in self.pairs if w != u)
-        return f"Preorder({sorted(self.carrier)}, {nonrefl})"
+        return f"Preorder({ids(self.carrier)}, {nonrefl})"
 
 
 # ---------------------------------------------------------------------------
 # Models
 
-Valuation = Mapping[str, frozenset[WorldId]]
+Valuation = Mapping[str, int]  # atom name -> mask of the worlds where it holds
 
 
 @dataclass(frozen=True)
@@ -352,7 +370,7 @@ class AgentModel:
     """
 
     atoms: tuple[str, ...]
-    worlds: frozenset[WorldId]
+    worlds: int
     plausibility: Preorder
     desirability: Preorder
     valuation: Valuation
@@ -372,27 +390,15 @@ class AgentModel:
             return dataclasses.replace(self, desirability=order)
         raise ModelError(f"bad order tag {tag!r}")
 
-    def world_bits(self, w: WorldId) -> str:
-        """Valuation of w as a 0/1 string in declared atom order."""
-        return "".join("1" if w in self.valuation[a] else "0" for a in self.atoms)
-
     @cached_property
     def bits_by_world(self) -> Mapping[WorldId, str]:
-        """world_bits of every world, computed together once per model
-        value. Read only."""
-        n = len(self.atoms)
-        codes = dict.fromkeys(self.worlds, 1 << n)  # a leading 1 keeps zeros
-        for i, a in enumerate(self.atoms):
-            bit = 1 << (n - 1 - i)
-            for w in self.valuation[a] & self.worlds:
-                codes[w] |= bit
-        return {w: format(code, "b")[1:] for w, code in codes.items()}
+        """Per world, ascending, its valuation as a 0/1 string in declared
+        atom order; computed once per model value. Read only."""
+        return columns([self.valuation[a] for a in self.atoms], self.worlds)
 
-    def restrict(self, keep: Iterable[WorldId]) -> "AgentModel":
-        """Intersect worlds, both orders, and the valuation with keep."""
-        keep = frozenset(keep)
-        if not keep <= self.worlds:
-            raise ModelError(f"worlds {sorted(keep - self.worlds)} not in model")
+    def restrict(self, keep: int) -> "AgentModel":
+        """Intersect worlds, both orders, and the valuation with the mask
+        keep, which must lie inside the worlds (the orders check it)."""
         return dataclasses.replace(
             self,
             worlds=keep,
@@ -402,19 +408,18 @@ class AgentModel:
         )
 
 
-def satisfying_worlds(f: "fm.Formula", worlds: frozenset[WorldId],
-                      valuation: Valuation) -> frozenset[WorldId]:
-    """Worlds satisfying a propositional formula."""
+def satisfying_worlds(f: "fm.Formula", worlds: int, valuation: Valuation) -> int:
+    """The mask of the worlds satisfying a propositional formula."""
     if isinstance(f, fm.Atom):
         if f.name not in valuation:
             raise UnknownAtomError(f"unknown atom {f.name!r}")
-        return frozenset(valuation[f.name]) & worlds
+        return valuation[f.name] & worlds
     if isinstance(f, fm.Top):
         return worlds
     if isinstance(f, fm.Bottom):
-        return frozenset()
+        return 0
     if isinstance(f, fm.Not):
-        return worlds - satisfying_worlds(f.child, worlds, valuation)
+        return worlds & ~satisfying_worlds(f.child, worlds, valuation)
     if isinstance(f, fm.And):
         return (satisfying_worlds(f.left, worlds, valuation)
                 & satisfying_worlds(f.right, worlds, valuation))
@@ -422,7 +427,7 @@ def satisfying_worlds(f: "fm.Formula", worlds: frozenset[WorldId],
         return (satisfying_worlds(f.left, worlds, valuation)
                 | satisfying_worlds(f.right, worlds, valuation))
     if isinstance(f, fm.Implies):
-        return ((worlds - satisfying_worlds(f.left, worlds, valuation))
+        return ((worlds & ~satisfying_worlds(f.left, worlds, valuation))
                 | satisfying_worlds(f.right, worlds, valuation))
     raise ModelError(f"not a propositional formula: {fm.render(f)}")
 
@@ -435,7 +440,8 @@ def load_model(doc: dict) -> AgentModel:
 
     Expected fields: atoms, worlds (id + true_atoms), plausibility and
     desirability as generator pair lists (closed reflexively-transitively
-    here), and an optional intentions list.
+    here), and an optional intentions list. World ids must lie below
+    2**MAX_PROGRAM_ATOMS; a larger one is rejected before any mask is built.
     """
     try:
         atoms = tuple(_names(doc["atoms"], "atoms"))
@@ -458,6 +464,9 @@ def load_model(doc: dict) -> AgentModel:
         w = wd["id"]
         if type(w) is not int or w < 0:
             raise ModelError(f"world id must be a non-negative int, got {w!r}")
+        if w >> MAX_PROGRAM_ATOMS:
+            raise ModelError(f"world id {w} is not below 2**{MAX_PROGRAM_ATOMS} "
+                             f"= {1 << MAX_PROGRAM_ATOMS}")
         if w in worlds:
             raise ModelError(f"duplicate world id {w}")
         worlds.add(w)
@@ -469,8 +478,8 @@ def load_model(doc: dict) -> AgentModel:
             if not isinstance(a, str) or a not in truths:
                 raise ModelError(f"world {w} lists unknown atom {a!r}")
             truths[a].add(w)
-    wset = frozenset(worlds)
-    val = {a: frozenset(ws) for a, ws in truths.items()}
+    wset = mask(worlds)
+    val = {a: mask(ws) for a, ws in truths.items()}
     plaus = Preorder.from_pairs(wset, _checked_pairs(p_pairs, "plausibility"))
     des = Preorder.from_pairs(wset, _checked_pairs(d_pairs, "desirability"))
     intentions = frozenset(_names(doc.get("intentions", []), "intentions"))
@@ -504,7 +513,7 @@ def _checked_pairs(pairs, field: str) -> list:
 
 def sorted_worlds(m: AgentModel) -> list[WorldId]:
     """Worlds in document order: by valuation bit string, then by id."""
-    return sorted(sorted(m.worlds), key=m.bits_by_world.__getitem__)
+    return sorted(ids(m.worlds), key=m.bits_by_world.__getitem__)
 
 
 def dump_model(m: AgentModel) -> dict:

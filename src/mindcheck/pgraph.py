@@ -16,16 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Optional
 
 from . import formulas as fm
 from . import models as md
 from . import plans as pl
-
-MAX_PROGRAM_ATOMS = 16
-
 
 class GraphError(Exception):
     pass
@@ -93,9 +90,9 @@ def make_graph(nodes: Iterable[fm.Formula],
         for j in range(len(seen)) if row >> j & 1))
 
 
-def induced_order(g: PriorityGraph, worlds: Iterable[md.WorldId],
+def induced_order(g: PriorityGraph, worlds: int,
                   valuation: md.Valuation) -> md.Preorder:
-    """The lexicographic preorder the graph induces on the given worlds.
+    """The lexicographic preorder the graph induces on the world mask.
 
     w <= w' iff for every node phi: (w' sat phi implies w sat phi), or some
     strictly higher-priority psi holds at w and fails at w'. Row by row: u
@@ -107,20 +104,14 @@ def induced_order(g: PriorityGraph, worlds: Iterable[md.WorldId],
     signature: one row is computed per signature, and each member's strict
     down row is that row less its signature class.
     """
-    worlds = frozenset(worlds)
     higher: list[list[int]] = [[] for _ in g.nodes]
     for hi, lo in g.prec:
         higher[lo].append(hi)
-    sat = [md.mask(md.satisfying_worlds(n, worlds, valuation)) for n in g.nodes]
-    full = md.mask(worlds)
-    fails = [full ^ s for s in sat]
-    # column w of the rows, lowest id first, is world w's signature
-    width = max(worlds, default=-1) + 1
-    signatures = (list(zip(*(format(s, f"0{width}b")[::-1] for s in sat)))
-                  if sat else [()] * width)
-    classes: dict[tuple[str, ...], list[md.WorldId]] = {}
-    for w in worlds:
-        classes.setdefault(signatures[w], []).append(w)
+    sat = [md.satisfying_worlds(n, worlds, valuation) for n in g.nodes]
+    fails = [worlds ^ s for s in sat]
+    classes: dict[str, list[md.WorldId]] = {}
+    for w, signature in md.columns(sat, worlds).items():
+        classes.setdefault(signature, []).append(w)
     down, strict = {}, {}
     for signature, members in classes.items():
         beaten = 0
@@ -130,8 +121,8 @@ def induced_order(g: PriorityGraph, worlds: Iterable[md.WorldId],
                     if signature[psi] == "0":
                         phi_fails &= fails[psi]
                 beaten |= phi_fails
-        row = full ^ beaten
-        below = row & ~md.mask(members)
+        row = worlds ^ beaten
+        below = row & ~sum(1 << w for w in members)
         for w in members:
             down[w] = row
             strict[w] = below
@@ -164,8 +155,8 @@ def extract_graph(m: md.AgentModel, tag: str) -> PriorityGraph:
     decision tree of its world set over the atoms in sorted order (Bryant
     1986), built once per distinct sub-table and shared between nodes.
     """
-    if len(m.atoms) > MAX_PROGRAM_ATOMS:
-        raise GraphError(f"extract supports at most {MAX_PROGRAM_ATOMS} atoms, "
+    if len(m.atoms) > md.MAX_PROGRAM_ATOMS:
+        raise GraphError(f"extract supports at most {md.MAX_PROGRAM_ATOMS} atoms, "
                          f"the model has {len(m.atoms)}")
     by_val: dict[str, md.WorldId] = {}
     for w, bits in m.bits_by_world.items():
@@ -180,7 +171,7 @@ def extract_graph(m: md.AgentModel, tag: str) -> PriorityGraph:
     # (plus a leading '0' for codes no world has) to its table's digits.
     rank = sorted(range(len(m.atoms)), key=m.atoms.__getitem__)
     atoms = [m.atoms[i] for i in rank]
-    width = max(m.worlds, default=-1) + 1
+    width = m.worlds.bit_length()
     top_code = (1 << len(atoms)) - 1
     slots = [0] * (top_code + 1)
     code = itemgetter(slice(0, 0), *rank)  # the empty cut serves a model with no atoms
@@ -213,7 +204,7 @@ def extract_graph(m: md.AgentModel, tag: str) -> PriorityGraph:
     # upper covers' down-sets, the full set when it has none. The
     # cross-class reduction pairs [w, u] are those covers, so one AND per
     # cover finds the reducible rows, and they seed the dedupe set.
-    meet = dict.fromkeys(down, md.mask(order.carrier))
+    meet = dict.fromkeys(down, order.carrier)
     for w, u in order.reduction_pairs():
         if down[w] != down[u]:
             meet[w] &= down[u]
@@ -285,15 +276,14 @@ class AgentProgram:
     intentions: frozenset[str]
 
     @cached_property
-    def universe(self) -> tuple[frozenset[int], dict[str, frozenset[int]]]:
-        """The knowledge worlds and the valuation on them, computed once per
-        program value. Read only."""
+    def universe(self) -> tuple[int, dict[str, int]]:
+        """The knowledge worlds and the valuation on them, as masks,
+        computed once per program value. Read only."""
         return _knowledge_model(self.atoms, self.knowledge)
 
 
-def knowledge_worlds(atoms: tuple[str, ...],
-                     knowledge: Iterable[fm.Formula]) -> frozenset[int]:
-    """Valuations over the atom set satisfying every knowledge formula.
+def knowledge_worlds(atoms: tuple[str, ...], knowledge: Iterable[fm.Formula]) -> int:
+    """Valuations over the atom set satisfying every knowledge formula, as a mask.
 
     World ids double as valuation bit masks: bit i is atom i of the declared
     order.
@@ -302,23 +292,24 @@ def knowledge_worlds(atoms: tuple[str, ...],
 
 
 def _knowledge_model(atoms: tuple[str, ...], knowledge: Iterable[fm.Formula]
-                     ) -> tuple[frozenset[int], dict[str, frozenset[int]]]:
+                     ) -> tuple[int, dict[str, int]]:
     """knowledge_worlds, and the valuation of the atoms on those worlds."""
-    if len(atoms) > MAX_PROGRAM_ATOMS:
+    if len(atoms) > md.MAX_PROGRAM_ATOMS:
         raise ProgramError(
             "too-many-atoms",
             f"{len(atoms)} atoms would enumerate {2 ** len(atoms)} worlds",
         )
-    top = 1 << len(atoms)
-    worlds = frozenset(range(top))
+    full = (1 << (1 << len(atoms))) - 1
     valuation = {}
     for i, a in enumerate(atoms):
-        run = 1 << i  # atom i holds on every other run of 2^i ids
-        valuation[a] = frozenset(chain.from_iterable(
-            range(lo, lo + run) for lo in range(run, top, 2 * run)))
+        # atom i holds on the upper run of 2^i ids in every period of
+        # 2^(i+1): full // (2^period - 1) has bit 0 of each period set
+        run = 1 << i
+        valuation[a] = full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+    worlds = full
     for f in knowledge:
-        worlds = worlds & md.satisfying_worlds(f, worlds, valuation)
-    if len(worlds) < top:
+        worlds = md.satisfying_worlds(f, worlds, valuation)
+    if worlds != full:
         valuation = {a: ws & worlds for a, ws in valuation.items()}
     return worlds, valuation
 

@@ -4,7 +4,9 @@ Two atoms p, q; empty knowledge; beliefs prioritize q; desires prioritize p
 over q; one adopted plan alpha with trivial precondition achieving p.
 World ids are valuation masks: p is bit 0, q is bit 1.
 
-Also the ranked and Pareto n-atom programs of the scale sweep.
+Also the ranked and Pareto n-atom programs of the scale sweep, and the
+converters between the engine's world masks (bit w for world w) and the
+frozensets of ids that tests/oracles.py works on.
 """
 
 from mindcheck import formulas as fm
@@ -22,6 +24,17 @@ PROGRAM_DOC = {
 }
 
 LIBRARY_DOC = {"plans": [{"name": "alpha", "pre": "T", "post": "p"}]}
+
+
+def world_set(mask: int) -> frozenset:
+    """The ids of a world mask, as the oracles take world sets; read from
+    its binary text, so far-flung ids cost one pass."""
+    return frozenset(w for w, c in enumerate(reversed(format(mask, "b"))) if c == "1")
+
+
+def world_mask(ids) -> int:
+    """The world mask of some ids, as the engine takes world sets."""
+    return sum(1 << w for w in set(ids))
 
 
 def running_library():

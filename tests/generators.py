@@ -15,6 +15,8 @@ from mindcheck import models as md
 from mindcheck import pgraph as pg
 from mindcheck import plans as pl
 
+from common import world_mask
+
 ATOMS = ("p", "q", "r", "s")
 
 
@@ -39,7 +41,7 @@ def random_preorder(rng: random.Random, worlds) -> md.Preorder:
         (rng.choice(worlds), rng.choice(worlds))
         for _ in range(rng.randint(0, 2 * len(worlds)))
     ]
-    return md.Preorder.from_pairs(frozenset(worlds), edges)
+    return md.Preorder.from_pairs(world_mask(worlds), edges)
 
 
 def random_chain(rng: random.Random, worlds) -> md.Preorder:
@@ -50,7 +52,7 @@ def random_chain(rng: random.Random, worlds) -> md.Preorder:
         (order[i], order[j])
         for i in range(len(order)) for j in range(i, len(order))
     ]
-    return md.Preorder.from_pairs(frozenset(worlds), pairs)
+    return md.Preorder.from_pairs(world_mask(worlds), pairs)
 
 
 def _mixed_order(rng: random.Random, worlds) -> md.Preorder:
@@ -65,15 +67,14 @@ def random_model(rng: random.Random, n_atoms=2, min_worlds=1,
     """Worlds are a nonempty sample of valuation masks over the atom set."""
     atoms = ATOMS[:n_atoms]
     universe = range(2 ** n_atoms)
-    worlds = frozenset(rng.sample(
-        list(universe), k=rng.randint(min_worlds, 2 ** n_atoms)))
+    ids = rng.sample(list(universe), k=rng.randint(min_worlds, 2 ** n_atoms))
     valuation = {
-        a: frozenset(w for w in worlds if w >> i & 1)
+        a: world_mask(w for w in ids if w >> i & 1)
         for i, a in enumerate(atoms)
     }
     return md.AgentModel(
-        atoms, worlds, _mixed_order(rng, worlds),
-        _mixed_order(rng, worlds), valuation, frozenset(intentions))
+        atoms, world_mask(ids), _mixed_order(rng, ids),
+        _mixed_order(rng, ids), valuation, frozenset(intentions))
 
 
 def random_injective_model(rng: random.Random, max_worlds=5) -> md.AgentModel:
@@ -81,12 +82,12 @@ def random_injective_model(rng: random.Random, max_worlds=5) -> md.AgentModel:
     valuations; desirability is the identity."""
     atoms = ATOMS[:3]
     ids = rng.sample(range(8), k=rng.randint(1, max_worlds))
-    worlds = frozenset(ids)
+    worlds = world_mask(ids)
     valuation = {
-        a: frozenset(w for w in worlds if w >> i & 1)
+        a: world_mask(w for w in ids if w >> i & 1)
         for i, a in enumerate(atoms)
     }
-    order = random_preorder(rng, worlds)
+    order = random_preorder(rng, ids)
     return md.AgentModel(atoms, worlds, order, md.Preorder.identity(worlds),
                          valuation)
 
@@ -143,17 +144,17 @@ def models_isomorphic(a: md.AgentModel, b: md.AgentModel) -> bool:
     """Valuation-keyed bijection preserving both orders and intentions."""
     if a.atoms != b.atoms:
         return False
-    amap = {a.world_bits(w): w for w in a.worlds}
-    bmap = {b.world_bits(w): w for w in b.worlds}
-    if len(amap) != len(a.worlds) or len(bmap) != len(b.worlds):
+    amap = {bits: w for w, bits in a.bits_by_world.items()}
+    bmap = {bits: w for w, bits in b.bits_by_world.items()}
+    if len(amap) != len(a.bits_by_world) or len(bmap) != len(b.bits_by_world):
         return False  # not injective, bijection by valuation undefined
     if amap.keys() != bmap.keys():
         return False
     sigma = {amap[bits]: bmap[bits] for bits in amap}
     for order_a, order_b in ((a.plausibility, b.plausibility),
                              (a.desirability, b.desirability)):
-        for w in a.worlds:
-            for u in a.worlds:
+        for w in a.bits_by_world:
+            for u in a.bits_by_world:
                 if order_a.le(w, u) != order_b.le(sigma[w], sigma[u]):
                     return False
     return a.intentions == b.intentions

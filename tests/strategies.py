@@ -6,6 +6,8 @@ from mindcheck import formulas as fm
 from mindcheck import models as md
 from mindcheck import pgraph as pg
 
+from common import world_mask
+
 ATOMS = ("p", "q", "r")
 PLANS = ("alpha", "beta")
 
@@ -68,37 +70,42 @@ def formulas(names=ATOMS, plans=PLANS, max_depth=6):
 def preorders(draw, min_worlds=1, max_worlds=6):
     """Reflexive-transitive closures of random edge sets; mostly non-total."""
     n = draw(st.integers(min_worlds, max_worlds))
-    worlds = frozenset(range(n))
     edges = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
         max_size=2 * n,
     ))
-    return md.Preorder.from_pairs(worlds, edges)
+    return md.Preorder.from_pairs((1 << n) - 1, edges)
 
 
 @st.composite
-def agent_models(draw, names=ATOMS, min_worlds=1):
-    """Models whose worlds are valuation masks over a small atom set."""
+def agent_models(draw, names=ATOMS, min_worlds=1, sparse=False):
+    """Models whose worlds are valuation masks over a small atom set.
+
+    With sparse, each world keeps its valuation but gets a distinct id
+    drawn below 300 instead, so the world masks have gaps and high bits.
+    """
     atom_names = tuple(draw(st.sampled_from([names[:1], names[:2], names[:3]])))
     universe = list(range(2 ** len(atom_names)))
-    worlds = frozenset(draw(
-        st.sets(st.sampled_from(universe), min_size=min_worlds)
-    ))
+    codes = sorted(draw(st.sets(st.sampled_from(universe), min_size=min_worlds)))
+    ids = codes
+    if sparse:
+        ids = draw(st.lists(st.integers(0, 299), min_size=len(codes),
+                            max_size=len(codes), unique=True))
+    worlds = world_mask(ids)
     valuation = {
-        a: frozenset(w for w in worlds if w >> i & 1)
+        a: world_mask(w for w, code in zip(ids, codes) if code >> i & 1)
         for i, a in enumerate(atom_names)
     }
-    plaus = draw(_orders_on(worlds))
-    des = draw(_orders_on(worlds))
+    plaus = draw(_orders_on(ids))
+    des = draw(_orders_on(ids))
     return md.AgentModel(atom_names, worlds, plaus, des, valuation)
 
 
-def _orders_on(worlds):
-    ws = sorted(worlds)
+def _orders_on(ids):
     return st.lists(
-        st.tuples(st.sampled_from(ws), st.sampled_from(ws)),
-        max_size=2 * len(ws),
-    ).map(lambda edges: md.Preorder.from_pairs(worlds, edges))
+        st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+        max_size=2 * len(ids),
+    ).map(lambda edges: md.Preorder.from_pairs(world_mask(ids), edges))
 
 
 @st.composite

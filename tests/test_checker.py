@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mindcheck import checker, dynamics
 from mindcheck import formulas as fm
@@ -7,7 +8,7 @@ from mindcheck import models as md
 from mindcheck import plans as pl
 
 import strategies as gen
-from common import running_library, running_model
+from common import running_library, running_model, world_set
 
 
 def ext(m, text, lib=None):
@@ -25,18 +26,18 @@ class TestBasics:
 
     def test_atom_extension(self):
         m = running_model()
-        assert ext(m, "p") == frozenset({1, 3})
-        assert ext(m, "~p & ~q") == frozenset({0})
+        assert world_set(ext(m, "p")) == {1, 3}
+        assert world_set(ext(m, "~p & ~q")) == {0}
 
     def test_one_world_universal(self):
-        worlds = frozenset({1})
+        worlds = 0b10
         m = md.AgentModel(
             ("p",), worlds, md.Preorder.identity(worlds),
-            md.Preorder.identity(worlds), {"p": frozenset({1})})
+            md.Preorder.identity(worlds), {"p": 0b10})
         assert holds(m, "A p")
 
     def test_empty_model_rejected(self):
-        m = running_model().restrict(frozenset())
+        m = running_model().restrict(0)
         with pytest.raises(checker.EmptyModelError):
             ext(m, "T")
 
@@ -95,8 +96,8 @@ class TestAttitudes:
         lib = pl.EMPTY_LIBRARY
         sat_phi = checker.extension(m, lib, phi)
         sat_psi = checker.extension(m, lib, psi)
-        expect_b = m.plausibility.min_set(sat_phi) <= sat_psi
-        expect_g = m.desirability.min_set(sat_phi) <= sat_psi
+        expect_b = not m.plausibility.min_set(sat_phi) & ~sat_psi
+        expect_g = not m.desirability.min_set(sat_phi) & ~sat_psi
         assert checker.holds(m, lib, fm.Bel(psi, phi)) == expect_b
         assert checker.holds(m, lib, fm.Goal(psi, phi)) == expect_g
 
@@ -119,7 +120,7 @@ class TestAttitudes:
         lib = pl.EMPTY_LIBRARY
         for node in (fm.Bel, fm.Goal, fm.AdmInt):
             e = checker.extension(m, lib, node(psi, phi))
-            assert e in (frozenset(), m.worlds)
+            assert e in (0, m.worlds)
 
     @settings(max_examples=120)
     @given(gen.agent_models(), gen.prop_formulas(max_depth=2),
@@ -140,7 +141,7 @@ class TestDynamicModalities:
     def test_vacuous_at_removed_worlds(self):
         m = running_model()
         # worlds falsifying q satisfy [!q] F vacuously
-        assert ext(m, "[!q] F", running_library()) == frozenset({0, 1})
+        assert world_set(ext(m, "[!q] F", running_library())) == {0, 1}
 
     def test_announcing_falsum_everywhere_vacuous(self):
         m = running_model()
@@ -155,7 +156,7 @@ class TestDynamicModalities:
             {"plans": [{"name": "beta", "pre": "q", "post": "p"}]})
         m = running_model()
         # non-q worlds cannot run beta, so they satisfy [beta] F
-        assert ext(m, "[beta] F", lib) == frozenset({0, 1})
+        assert world_set(ext(m, "[beta] F", lib)) == {0, 1}
 
     def test_intends(self):
         m = running_model()
@@ -171,7 +172,7 @@ class TestDynamicModalities:
         got = checker.extension(m, lib, fm.DynMod("announce", None, arg, body))
         if survivors:
             inner = checker.extension(dynamics.announce(m, arg), lib, body)
-            assert got == (m.worlds - survivors) | inner
+            assert got == (m.worlds & ~survivors) | inner
         else:
             assert got == m.worlds
         # upgrade and contraction keep the world set
@@ -208,3 +209,42 @@ class TestProposition1:
         assert failure is not None
         assert failure.plan == "alpha"
         assert failure.reason == "precondition-not-believed"
+
+
+class TestMasksStayInsideTheWorlds:
+    """Every world mask the engine returns is a non-negative subset of the
+    model's worlds, on sparse ids where a stray bit would not be another
+    world's."""
+
+    @staticmethod
+    def assert_inside(mask, worlds):
+        assert mask >= 0 and not mask & ~worlds, (bin(mask), bin(worlds))
+
+    @settings(max_examples=150)
+    @given(gen.agent_models(sparse=True), st.data())
+    def test_extensions_min_sets_and_restrictions(self, m, data):
+        a, z = m.atoms[0], m.atoms[-1]
+        lib = pl.load_library({"plans": [
+            {"name": "alpha", "pre": "T", "post": a},
+            {"name": "beta", "pre": z, "post": f"~{a}"}]})
+        f = data.draw(gen.formulas(names=m.atoms, max_depth=4))
+        phi = data.draw(gen.prop_formulas(m.atoms))
+        sat = md.satisfying_worlds(phi, m.worlds, m.valuation)
+        self.assert_inside(sat, m.worlds)
+        e = checker.extension(m, lib, f)
+        self.assert_inside(e, m.worlds)
+        for keep in (e, sat):
+            for tag in ("P", "D"):
+                self.assert_inside(m.order(tag).min_set(keep), keep)
+            r = m.restrict(keep)
+            self.assert_inside(r.worlds, m.worlds)
+            for ws in r.valuation.values():
+                self.assert_inside(ws, keep)
+            for tag in ("P", "D"):
+                order = r.order(tag)
+                assert order.carrier == keep
+                for strict in (False, True):
+                    rows = order.down_rows(strict)
+                    assert set(rows) == world_set(keep)
+                    for row in rows.values():
+                        self.assert_inside(row, keep)

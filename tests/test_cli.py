@@ -130,7 +130,7 @@ class TestTrace:
             "--script", fx("revision.script"), "--out", str(out_path))
         assert code == 0
         final = md.load_model(json.loads(out_path.read_text()))
-        assert final.worlds == frozenset({2, 3})
+        assert final.worlds == 0b1100
         assert final.intentions == frozenset({"alpha"})
 
     def test_json_step_log(self, capsys):
@@ -327,7 +327,8 @@ class TestDeterminism:
 
 
 class TestSparseWorldIds:
-    """Ids are labels: a huge id must behave like its dense relabelling."""
+    """Ids are labels: the highest id a document may use must behave like
+    its dense relabelling."""
 
     SCRIPT = "upgrade P p\ncontract D q\nassert B(p|T)\ncontract P p\n"
 
@@ -358,8 +359,8 @@ class TestSparseWorldIds:
         ]
         return [tuple(str(x).replace(str(hi), "1") for x in g) for g in got]
 
-    def test_million_id_matches_dense_relabelling(self, capsys, tmp_path):
-        sparse = self.outputs(capsys, tmp_path, 1000000)
+    def test_highest_id_matches_dense_relabelling(self, capsys, tmp_path):
+        sparse = self.outputs(capsys, tmp_path, (1 << md.MAX_PROGRAM_ATOMS) - 1)
         assert sparse == self.outputs(capsys, tmp_path, 1)
         assert sparse[1][0] == "0"  # the script's assertion held
 
@@ -409,7 +410,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize("name", [
         "bare_world_model.json", "idless_world_model.json",
         "string_atom_list_model.json", "string_intentions_model.json",
-        "bool_id_model.json",
+        "bool_id_model.json", "over_cap_id_model.json",
     ])
     def test_malformed_model_is_model_error(self, capsys, name):
         code, out, err = run(capsys, "eval", "--model", fx(name),
@@ -483,7 +484,7 @@ class TestNineAtomExtract:
         assert (code, err) == (0, "")
         doc = json.loads(out)
         m = md.load_model(json.loads(model.read_text()))
-        assert len(m.worlds) == 512
+        assert m.worlds.bit_count() == 512
         for graph, tag in ((pg.extract_graph(m, "P"), "plausibility"),
                            (pg.extract_graph(m, "D"), "desirability")):
             assert len(doc[tag]["nodes"]) == len(graph.nodes)
@@ -542,7 +543,7 @@ class TestTenAtomExtract:
         assert (code, err) == (0, "")
         doc = json.loads(out)
         m = md.load_model(json.loads(model.read_text()))
-        assert len(m.worlds) == 1024
+        assert m.worlds.bit_count() == 1024
         # the ranked belief order is total: its graph is the program's own
         # atoms, ranked; the three unordered desires give a partial order
         edges = [[i, j] for i in range(10) for j in range(i + 1, 10)]

@@ -13,7 +13,7 @@ import generators
 import oracles
 import strategies as gen
 from common import (pareto_program, ranked_program, running_library, running_model,
-                    running_program)
+                    running_program, world_set)
 from generators import models_isomorphic
 
 P, Q = fm.Atom("p"), fm.Atom("q")
@@ -22,18 +22,18 @@ TOP, BOT = fm.Top(), fm.Bottom()
 
 def chain_model():
     """Plausibility chain 11 < 10 < 01 < 00 (ids 3 < 1 < 2 < 0)."""
-    worlds = frozenset(range(4))
+    worlds = 0b1111
     ids = [3, 1, 2, 0]
     pairs = [(ids[i], ids[j]) for i in range(4) for j in range(i, 4)]
     chain = md.Preorder.from_pairs(worlds, pairs)
-    valuation = {"p": frozenset({1, 3}), "q": frozenset({2, 3})}
+    valuation = {"p": 0b1010, "q": 0b1100}
     return md.AgentModel(("p", "q"), worlds, chain, chain, valuation)
 
 
 def identity_model():
-    worlds = frozenset(range(4))
+    worlds = 0b1111
     ident = md.Preorder.identity(worlds)
-    valuation = {"p": frozenset({1, 3}), "q": frozenset({2, 3})}
+    valuation = {"p": 0b1010, "q": 0b1100}
     return md.AgentModel(("p", "q"), worlds, ident, ident, valuation)
 
 
@@ -45,15 +45,16 @@ class TestAnnounce:
     def test_announcing_q_restricts(self):
         m = identity_model()
         got = dynamics.announce(m, Q)
-        assert got.worlds == frozenset({2, 3})
-        expected = oracles.announce_pairs(m.worlds, m.plausibility.pairs,
+        assert world_set(got.worlds) == {2, 3}
+        expected = oracles.announce_pairs(world_set(m.worlds), m.plausibility.pairs,
                                           {2, 3})
         assert got.plausibility.pairs == expected
-        assert got.valuation == {"p": frozenset({3}), "q": frozenset({2, 3})}
+        assert {a: world_set(ws) for a, ws in got.valuation.items()} == {
+            "p": {3}, "q": {2, 3}}
 
     def test_announcing_falsum_empties_the_model(self):
         got = dynamics.announce(chain_model(), BOT)
-        assert got.worlds == frozenset()
+        assert got.worlds == 0
 
     @settings(max_examples=100)
     @given(gen.model_with_props())
@@ -72,24 +73,24 @@ class TestUpgrade:
     def test_upgrade_identity_order_by_q(self):
         m = identity_model()
         got = dynamics.upgrade(m, "P", Q)
-        expected = oracles.upgrade_pairs(m.worlds, m.plausibility.pairs,
+        expected = oracles.upgrade_pairs(world_set(m.worlds), m.plausibility.pairs,
                                          {2, 3})
         assert got.plausibility.pairs == expected
         for w in (2, 3):
             for u in (0, 1):
                 assert got.plausibility.lt(w, u)
-        assert got.plausibility.restrict({2, 3}) == md.Preorder.identity({2, 3})
-        assert got.plausibility.restrict({0, 1}) == md.Preorder.identity({0, 1})
+        assert got.plausibility.restrict(0b1100) == md.Preorder.identity(0b1100)
+        assert got.plausibility.restrict(0b0011) == md.Preorder.identity(0b0011)
         assert got.desirability == m.desirability
 
     def test_upgrade_chain_by_not_p(self):
         m = chain_model()
         got = dynamics.upgrade(m, "P", fm.Not(P))
-        expected = oracles.upgrade_pairs(m.worlds, m.plausibility.pairs,
+        expected = oracles.upgrade_pairs(world_set(m.worlds), m.plausibility.pairs,
                                          {0, 2})
         assert got.plausibility.pairs == expected
         # new bottom zone {01, 00} keeps 01 < 00; above it 11 < 10 survives
-        assert got.plausibility.min_set(m.worlds) == frozenset({2})
+        assert world_set(got.plausibility.min_set(m.worlds)) == {2}
         assert got.plausibility.lt(2, 0)
         assert got.plausibility.lt(3, 1)
         assert got.plausibility.lt(0, 3)
@@ -109,7 +110,7 @@ class TestContract:
         # clause 1 still bottoms the global minima
         m = chain_model()
         got = dynamics.contract(m, "P", fm.Or(P, fm.Not(P)))
-        expected = oracles.contract_pairs(m.worlds, m.plausibility.pairs,
+        expected = oracles.contract_pairs(world_set(m.worlds), m.plausibility.pairs,
                                           set())
         assert got.plausibility.pairs == expected
         assert got.plausibility == m.plausibility  # chain minima already bottom
@@ -117,20 +118,20 @@ class TestContract:
     def test_contract_chain_by_p(self):
         m = chain_model()
         got = dynamics.contract(m, "P", P)
-        expected = oracles.contract_pairs(m.worlds, m.plausibility.pairs,
+        expected = oracles.contract_pairs(world_set(m.worlds), m.plausibility.pairs,
                                           {0, 2})
         assert got.plausibility.pairs == expected
         # 11 and 01 now form the bottom cluster; 10 and 00 stay above
         assert got.plausibility.le(3, 2) and got.plausibility.le(2, 3)
-        assert got.plausibility.min_set(m.worlds) == frozenset({3, 2})
+        assert world_set(got.plausibility.min_set(m.worlds)) == {3, 2}
         assert got.plausibility.lt(1, 0)
         assert not checker.holds(got, pl.EMPTY_LIBRARY, fm.Bel(P, TOP))
 
     def test_contract_by_falsum(self):
         m = chain_model()
         got = dynamics.contract(m, "P", BOT)
-        expected = oracles.contract_pairs(m.worlds, m.plausibility.pairs,
-                                          set(m.worlds))
+        expected = oracles.contract_pairs(world_set(m.worlds), m.plausibility.pairs,
+                                          world_set(m.worlds))
         assert got.plausibility.pairs == expected
 
     @settings(max_examples=100)
@@ -138,7 +139,7 @@ class TestContract:
     def test_success_postulate(self, case):
         m, phi = case
         got = dynamics.contract(m, "P", phi)
-        counter = m.worlds - md.satisfying_worlds(phi, m.worlds, m.valuation)
+        counter = m.worlds & ~md.satisfying_worlds(phi, m.worlds, m.valuation)
         if counter:
             assert not checker.holds(got, pl.EMPTY_LIBRARY, fm.Bel(phi, TOP))
 
@@ -148,9 +149,9 @@ class TestContract:
         m, phi = case
         old = m.plausibility
         got = dynamics.contract(m, "P", phi).plausibility
-        counter = m.worlds - md.satisfying_worlds(phi, m.worlds, m.valuation)
+        counter = m.worlds & ~md.satisfying_worlds(phi, m.worlds, m.valuation)
         promoted = old.min_set(counter) | old.min_set(m.worlds)
-        untouched = m.worlds - promoted
+        untouched = world_set(m.worlds & ~promoted)
         for w in untouched:
             for u in untouched:
                 assert old.le(w, u) == got.le(w, u)
@@ -161,25 +162,27 @@ class TestProductUpdate:
         m = identity_model()
         got = dynamics.product_update(m, running_library(), "alpha")
         assert got.worlds == m.worlds
+        worlds = world_set(m.worlds)
         expected_val = oracles.product_update_valuation(
-            m.worlds, m.valuation, m.worlds, {"p": True})
-        assert got.valuation == expected_val
+            worlds, {a: world_set(ws) for a, ws in m.valuation.items()}, worlds,
+            {"p": True})
+        assert {a: world_set(ws) for a, ws in got.valuation.items()} == expected_val
         assert got.valuation["p"] == m.worlds
-        assert got.valuation["q"] == frozenset({2, 3})
+        assert world_set(got.valuation["q"]) == {2, 3}
 
     def test_duplicate_valuations_keep_distinct_ids(self):
         lib = pl.load_library(
             {"plans": [{"name": "alpha", "pre": "q", "post": "p"}]})
         m = identity_model()
         got = dynamics.product_update(m, lib, "alpha")
-        assert got.worlds == frozenset({2, 3})
-        assert got.world_bits(2) == got.world_bits(3) == "11"
+        assert world_set(got.worlds) == {2, 3}
+        assert got.bits_by_world[2] == got.bits_by_world[3] == "11"
 
     def test_unsatisfiable_precondition_empties_the_model(self):
         lib = pl.load_library(
             {"plans": [{"name": "alpha", "pre": "F", "post": "p"}]})
         got = dynamics.product_update(identity_model(), lib, "alpha")
-        assert got.worlds == frozenset()
+        assert got.worlds == 0
 
     def test_unknown_plan(self):
         with pytest.raises(fm.UnknownPlanError):
@@ -271,7 +274,7 @@ class TestGraphAnnounce:
         graph_side = pg.induce_program(
             dynamics.graph_announce(ag, Q), lib, check_intentions=False)
         model_side = dynamics.announce(pg.induce_program(ag, lib), Q)
-        assert graph_side.worlds == frozenset({2, 3})
+        assert world_set(graph_side.worlds) == {2, 3}
         assert models_isomorphic(graph_side, model_side)
 
     def test_contradicting_knowledge_rejected(self):
@@ -284,9 +287,7 @@ class TestGraphAnnounce:
 
 class TestGraphUpgrade:
     def worlds_and_valuation(self):
-        worlds = frozenset(range(4))
-        valuation = {"p": frozenset({1, 3}), "q": frozenset({2, 3})}
-        return worlds, valuation
+        return 0b1111, {"p": 0b1010, "q": 0b1100}
 
     def test_empty_graph_gains_single_top_node(self):
         worlds, valuation = self.worlds_and_valuation()
@@ -346,8 +347,8 @@ class TestGraphContract:
         got = dynamics.graph_contract(ag, "B", Q, lib)
         m = pg.induce_program(got, lib, check_intentions=False)
         assert not checker.holds(m, lib, fm.Bel(Q, TOP))
-        assert any(w not in md.satisfying_worlds(Q, m.worlds, m.valuation)
-                   for w in m.plausibility.min_set(m.worlds))
+        assert (m.plausibility.min_set(m.worlds)
+                & ~md.satisfying_worlds(Q, m.worlds, m.valuation))
         model_side = dynamics.contract(pg.induce_program(ag, lib), "P", Q)
         assert models_isomorphic(m, model_side)
 
@@ -412,7 +413,7 @@ class TestFilterIntentions:
         assert pl.check_p_consistency(got, lib) is None
 
     def test_empty_model_propagates_checker_error(self):
-        m = running_model().restrict(frozenset())
+        m = running_model().restrict(0)
         with pytest.raises(checker.EmptyModelError):
             dynamics.filter_intentions(m, running_library())
 

@@ -13,16 +13,15 @@ from mindcheck import plans as pl
 import generators
 import oracles
 import strategies as gen
-from common import ranked_program
+from common import ranked_program, world_mask, world_set
 
 P, Q = fm.Atom("p"), fm.Atom("q")
 
 
 def two_atom_world_set():
-    """All four pq valuations as valuation-mask ids (p=bit0, q=bit1)."""
-    worlds = frozenset(range(4))
-    valuation = {"p": frozenset({1, 3}), "q": frozenset({2, 3})}
-    return worlds, valuation
+    """All four pq valuations as valuation-mask ids (p=bit0, q=bit1), as
+    the world mask and the valuation masks."""
+    return 0b1111, {"p": 0b1010, "q": 0b1100}
 
 
 def nesting_depth(f) -> int:
@@ -52,7 +51,7 @@ class TestInducedOrder:
         got = pg.induced_order(g, worlds, valuation)
         # oracle: apply the lexicographic condition to all 16 pairs
         expected = oracles.induced(
-            worlds, [frozenset({1, 3}), frozenset({2, 3})], [(0, 1)])
+            world_set(worlds), [frozenset({1, 3}), frozenset({2, 3})], [(0, 1)])
         assert got.pairs == expected
         # 11 < 10 < 01 < 00 in pq bits is ids 3 < 1 < 2 < 0
         strict = got.strict_pairs()
@@ -62,12 +61,12 @@ class TestInducedOrder:
     def test_empty_graph_is_total(self):
         worlds, valuation = two_atom_world_set()
         got = pg.induced_order(pg.make_graph([]), worlds, valuation)
-        assert got.pairs == frozenset((w, u) for w in worlds for u in worlds)
+        assert got.pairs == frozenset((w, u) for w in range(4) for u in range(4))
 
     def test_single_node_two_zones(self):
         worlds, valuation = two_atom_world_set()
         got = pg.induced_order(pg.make_graph([P]), worlds, valuation)
-        expected = oracles.induced(worlds, [frozenset({1, 3})], [])
+        expected = oracles.induced(world_set(worlds), [frozenset({1, 3})], [])
         assert got.pairs == expected
         p_zone, rest = {1, 3}, {0, 2}
         for w in p_zone:
@@ -109,7 +108,7 @@ class TestInducedOrder:
         assume(worlds)
         m = pg.induce_program(pg.AgentProgram(atoms, tuple(knowledge), beliefs,
                                               desires, frozenset()), pl.EMPTY_LIBRARY)
-        assert m.worlds == worlds
+        assert world_set(m.worlds) == worlds
         for g, order in ((beliefs, m.plausibility), (desires, m.desirability)):
             exts = [frozenset(w for w in worlds if oracles.holds_at(n, true_atoms(w)))
                     for n in g.nodes]
@@ -133,15 +132,15 @@ class TestInducedOrder:
             g.nodes + (new_node,) if new_node not in g.nodes else g.nodes,
             g.prec)
         after = pg.induced_order(bigger, worlds, valuation)
-        sat = md.satisfying_worlds(new_node, worlds, valuation)
+        sat = world_set(md.satisfying_worlds(new_node, worlds, valuation))
         added = after.strict_pairs() - before.strict_pairs()
         assert not any((w in sat) == (u in sat) for (w, u) in added)
 
 
 class TestExtractGraph:
     def test_identity_order_two_worlds(self):
-        worlds = frozenset({0, 3})
-        valuation = {"p": frozenset({3}), "q": frozenset({3})}
+        worlds = world_mask({0, 3})
+        valuation = {"p": 0b1000, "q": 0b1000}
         ident = md.Preorder.identity(worlds)
         m = md.AgentModel(("p", "q"), worlds, ident, ident, valuation)
         g = pg.extract_graph(m, "P")
@@ -151,8 +150,8 @@ class TestExtractGraph:
         assert pg.induced_order(g, worlds, valuation) == ident
 
     def test_two_world_chain(self):
-        worlds = frozenset({3, 1})
-        valuation = {"p": frozenset({1, 3}), "q": frozenset({3})}
+        worlds = world_mask({3, 1})
+        valuation = {"p": 0b1010, "q": 0b1000}
         order = md.Preorder.from_pairs(worlds, [(3, 1)])
         m = md.AgentModel(("p", "q"), worlds, md.Preorder.identity(worlds),
                           order, valuation)
@@ -163,8 +162,8 @@ class TestExtractGraph:
         assert pg.induced_order(g, worlds, valuation) == order
 
     def test_single_world(self):
-        worlds = frozenset({1})
-        valuation = {"p": frozenset({1})}
+        worlds = 0b10
+        valuation = {"p": 0b10}
         ident = md.Preorder.identity(worlds)
         m = md.AgentModel(("p",), worlds, ident, ident, valuation)
         g = pg.extract_graph(m, "P")
@@ -177,17 +176,18 @@ class TestExtractGraph:
         (("p",), {0, 1}, 2),  # two incomparable worlds: the antichain
     ])
     def test_no_atom_and_one_atom_models(self, atoms, worlds, nodes):
-        valuation = {a: frozenset(w for w in worlds if w >> i & 1)
+        valuation = {a: world_mask(w for w in worlds if w >> i & 1)
                      for i, a in enumerate(atoms)}
+        worlds = world_mask(worlds)
         ident = md.Preorder.identity(worlds)
-        m = md.AgentModel(atoms, frozenset(worlds), ident, ident, valuation)
+        m = md.AgentModel(atoms, worlds, ident, ident, valuation)
         g = pg.extract_graph(m, "P")
         assert len(g.nodes) == nodes
         assert pg.induced_order(g, worlds, valuation) == ident
 
     def test_non_injective_valuation_rejected(self):
-        worlds = frozenset({0, 1})
-        valuation = {"p": frozenset()}
+        worlds = 0b11
+        valuation = {"p": 0}
         ident = md.Preorder.identity(worlds)
         m = md.AgentModel(("p",), worlds, ident, ident, valuation)
         with pytest.raises(pg.GraphError, match="injective"):
@@ -202,14 +202,14 @@ class TestExtractGraph:
             worlds = rng.sample(range(20), k=len(codes))
             true_at = {w: {a for i, a in enumerate(names) if c >> i & 1}
                        for w, c in zip(worlds, codes)}
-            valuation = {a: frozenset(w for w in worlds if a in true_at[w])
+            valuation = {a: world_mask(w for w in worlds if a in true_at[w])
                          for a in names}
             edges = [(rng.choice(worlds), rng.choice(worlds))
                      for _ in range(rng.randint(0, 2 * len(worlds)))]
             pairs = oracles.closure(worlds, edges)
-            order = md.Preorder.from_pairs(worlds, edges)
-            m = md.AgentModel(tuple(names), frozenset(worlds), order,
-                              md.Preorder.identity(worlds), valuation)
+            order = md.Preorder.from_pairs(world_mask(worlds), edges)
+            m = md.AgentModel(tuple(names), world_mask(worlds), order,
+                              md.Preorder.identity(world_mask(worlds)), valuation)
             if all((w, u) in pairs or (u, w) in pairs
                    for w in worlds for u in worlds):
                 # total: a rank-bit chain instead (see TestRankBits)
@@ -249,7 +249,7 @@ class TestExtractGraph:
     @given(gen.agent_models(), gen.order_tags())
     def test_non_total_orders_extract_as_irreducible_down_sets(self, m, tag):
         pairs = m.order(tag).pairs
-        worlds = sorted(m.worlds)
+        worlds = sorted(world_set(m.worlds))
         assume(any((w, u) not in pairs and (u, w) not in pairs
                    for w in worlds for u in worlds))
         g = pg.extract_graph(m, tag)
@@ -270,9 +270,9 @@ class TestExtractGraph:
             assert oracles.induced(worlds, exts[:i] + exts[i + 1:], []) != pairs
 
     def test_more_atoms_than_the_cap_rejected(self):
-        atoms = tuple(f"a{i}" for i in range(pg.MAX_PROGRAM_ATOMS + 1))
-        worlds = frozenset({0, 1})
-        valuation = {a: frozenset({1}) for a in atoms}
+        atoms = tuple(f"a{i}" for i in range(md.MAX_PROGRAM_ATOMS + 1))
+        worlds = 0b11
+        valuation = {a: 0b10 for a in atoms}
         ident = md.Preorder.identity(worlds)
         m = md.AgentModel(atoms, worlds, ident, ident, valuation)
         with pytest.raises(pg.GraphError, match="at most"):
@@ -306,14 +306,14 @@ class TestRankBits:
                                        for _ in range(size - classes)]
         rng.shuffle(rank)
         value = {w: classes - 1 - r for w, r in zip(worlds, rank)}
-        valuation = {a: frozenset(w for w, c in zip(worlds, codes) if c >> i & 1)
+        valuation = {a: world_mask(w for w, c in zip(worlds, codes) if c >> i & 1)
                      for i, a in enumerate(names)}
         pairs = [(w, u) for w in worlds for u in worlds if value[w] >= value[u]]
-        order = md.Preorder.from_pairs(worlds, pairs)
-        ident = md.Preorder.identity(worlds)
+        order = md.Preorder.from_pairs(world_mask(worlds), pairs)
+        ident = md.Preorder.identity(world_mask(worlds))
         true_at = {w: {a for i, a in enumerate(names) if c >> i & 1}
                    for w, c in zip(worlds, codes)}
-        return md.AgentModel(tuple(names), frozenset(worlds), order, ident,
+        return md.AgentModel(tuple(names), world_mask(worlds), order, ident,
                              valuation), value, true_at
 
     @pytest.mark.parametrize("classes", [0, 1, 2, 3, 4, 5, 7, 8, 11])
@@ -339,10 +339,10 @@ class TestRankBits:
         for n_atoms in range(1, 7):
             worlds = list(range(2 ** n_atoms))
             rng.shuffle(worlds)
-            order = md.Preorder.from_pairs(worlds, zip(worlds, worlds[1:]))
-            valuation = {f"x{i}": frozenset(w for w in worlds if w >> i & 1)
+            order = md.Preorder.from_pairs(world_mask(worlds), zip(worlds, worlds[1:]))
+            valuation = {f"x{i}": world_mask(w for w in worlds if w >> i & 1)
                          for i in range(n_atoms)}
-            m = md.AgentModel(tuple(valuation), frozenset(worlds), order,
+            m = md.AgentModel(tuple(valuation), world_mask(worlds), order,
                               order, valuation)
             g = pg.extract_graph(m, "P")
             assert len(g.nodes) == n_atoms
@@ -378,7 +378,7 @@ class TestInduceProgram:
         ag = pg.AgentProgram(("p", "q"), (fm.parse("p | q"),),
                              pg.make_graph([]), pg.make_graph([]), frozenset())
         m = pg.induce_program(ag, pl.EMPTY_LIBRARY)
-        assert m.worlds == frozenset({1, 2, 3})
+        assert world_set(m.worlds) == {1, 2, 3}
 
     def test_inconsistent_knowledge(self):
         ag = pg.AgentProgram(("p",), (fm.parse("p"), fm.parse("~p")),
@@ -389,12 +389,12 @@ class TestInduceProgram:
 
     def test_running_example_accepted(self):
         m = pg.induce_program(running_program(), running_library())
-        assert m.worlds == frozenset(range(4))
+        assert m.worlds == 0b1111
         assert m.intentions == frozenset({"alpha"})
         # plausibility: q-worlds below the rest, ties inside zones
-        assert m.plausibility.min_set(m.worlds) == frozenset({2, 3})
+        assert world_set(m.plausibility.min_set(m.worlds)) == {2, 3}
         # desirability: the 11 world is the unique minimum of the chain
-        assert m.desirability.min_set(m.worlds) == frozenset({3})
+        assert world_set(m.desirability.min_set(m.worlds)) == {3}
 
     def test_unknown_plan_symbol(self):
         ag = pg.AgentProgram(("p",), (), pg.make_graph([]), pg.make_graph([]),

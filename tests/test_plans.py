@@ -12,7 +12,7 @@ from mindcheck import plans as pl
 
 import generators
 import oracles
-from common import running_library, running_model, running_program
+from common import running_library, running_model, running_program, world_set
 
 
 class TestLoadLibrary:
@@ -120,16 +120,17 @@ class TestPlanCheckOracle:
             lib = generators.random_library(rng, m.atoms)
             m = dataclasses.replace(m, intentions=frozenset(lib.plans))
             plaus, des = m.plausibility.pairs, m.desirability.pairs
-            true_at = {w: {a for a in m.atoms if w in m.valuation[a]}
-                       for w in m.worlds}
+            worlds = world_set(m.worlds)
+            truth = {a: world_set(ws) for a, ws in m.valuation.items()}
+            true_at = {w: {a for a in m.atoms if w in truth[a]} for w in worlds}
 
             def sat(f):
-                return frozenset(w for w in m.worlds
+                return frozenset(w for w in worlds
                                  if oracles.holds_at(f, true_at[w]))
 
             consistent = [
                 s for s in sorted(lib.plans) if oracles.p_consistent(
-                    plaus, des, m.worlds, sat(lib.get(s).pre),
+                    plaus, des, worlds, sat(lib.get(s).pre),
                     sat(lib.get(s).post))
             ]
             kept += len(consistent)
@@ -140,7 +141,7 @@ class TestPlanCheckOracle:
                 assert failure is None
                 continue
             first = failing[0]
-            believed = oracles.settles(plaus, m.worlds, sat(lib.get(first).pre))
+            believed = oracles.settles(plaus, worlds, sat(lib.get(first).pre))
             reason = ("postcondition-not-admissible" if believed
                       else "precondition-not-believed")
             assert failure == pl.PlanFailure(first, reason)
