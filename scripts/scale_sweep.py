@@ -27,7 +27,7 @@ The library L holds four plans s0..s3, plan s_i with precondition T and
 post-condition a_(i mod n). No plan is adopted, so Int(a0) holds nowhere
 and its negation everywhere; evaluating it still executes every plan.
 
-    python3 scripts/scale_sweep.py --atoms 4 6 8 10 11 12 13 --out BENCH_16.json
+    python3 scripts/scale_sweep.py --atoms 4 6 8 10 11 12 13 --out BENCH_18.json
 """
 
 import argparse
@@ -166,7 +166,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--atoms", type=int, nargs="+", default=[4, 6, 8, 10, 11, 12, 13])
     ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--out", default=str(ROOT / "BENCH_16.json"))
+    ap.add_argument("--out", default=str(ROOT / "BENCH_18.json"))
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as work:
         rows, failures = sweep(args.atoms, args.repeats, work)

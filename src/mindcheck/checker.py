@@ -2,12 +2,13 @@
 
 Evaluation is bottom-up over extension masks (bit w for world w, as in
 models): connectives are mask operations, and a box or diamond tests each
-world's order row against its argument's mask. Mental-attitude sugar
-expands to its defining A/E-prefixed form first, so attitude formulas always
-come out globally uniform (extension 0 or the whole world mask) and the
-per-formula memo is sound. Dynamic and plan modalities build the transformed
-model and evaluate the body there; worlds the transformation removes satisfy
-the modality vacuously.
+tie class's row against its argument's mask once and keeps or drops the
+class's members together; a strict row is the class's row less the class.
+Mental-attitude sugar expands to its defining A/E-prefixed form first, so
+attitude formulas always come out globally uniform (extension 0 or the
+whole world mask) and the per-formula memo is sound. Dynamic and plan
+modalities build the transformed model and evaluate the body there; worlds
+the transformation removes satisfy the modality vacuously.
 """
 
 from __future__ import annotations
@@ -75,15 +76,14 @@ class _Evaluator:
             return m.worlds if self.ext(f.child) == m.worlds else 0
         if isinstance(f, fm.E):
             return m.worlds if self.ext(f.child) else 0
-        # rows are keyed by the carrier, m.worlds; distinct bits sum to a mask
-        if isinstance(f, fm.Box):
-            outside = ~self.ext(f.child)
-            rows = m.order(f.order).down_rows(f.strict)
-            return sum(1 << w for w, row in rows.items() if not row & outside)
-        if isinstance(f, fm.Diamond):
-            inside = self.ext(f.child)
-            rows = m.order(f.order).down_rows(f.strict)
-            return sum(1 << w for w, row in rows.items() if row & inside)
+        if isinstance(f, (fm.Box, fm.Diamond)):
+            # a box is the dual diamond's complement; the classes cover the
+            # carrier, m.worlds, and disjoint masks sum
+            box = isinstance(f, fm.Box)
+            inside = self.ext(f.child) ^ (m.worlds if box else 0)
+            seen = sum(tie for row, tie in m.order(f.order).classes.items()
+                       if (row & ~tie if f.strict else row) & inside)
+            return m.worlds ^ seen if box else seen
         if isinstance(f, fm.DynMod):
             return self._dynamic(f)
         if isinstance(f, fm.PlanMod):

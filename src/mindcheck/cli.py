@@ -368,7 +368,11 @@ def _step_report(index: int, line: str, m: md.AgentModel,
 
 def _print_step(report: dict, m: md.AgentModel) -> None:
     def label(ws):
-        return " ".join(f"{w}({m.bits_by_world[w]})" for w in ws) or "-"
+        # the printed worlds' valuation bits only: m.bits_by_world would
+        # compute every world's for each step's new model value
+        return " ".join(
+            f"{w}({''.join(str(m.valuation[a] >> w & 1) for a in m.atoms)})"
+            for w in ws) or "-"
 
     consistent = report["p_consistent"]
     flag = "n/a" if consistent is None else ("yes" if consistent else "no")

@@ -37,13 +37,12 @@ def upgrade(m: md.AgentModel, target: str, phi: fm.Formula) -> md.AgentModel:
     removed.
     """
     top = md.satisfying_worlds(phi, m.worlds, m.valuation)
-    old = m.order(target)
-    cols, scols = old.down_rows(), old.down_rows(strict=True)
-    # a phi-world keeps what lay (strictly) below it in the phi zone; every
-    # other world also gets the whole phi zone strictly below it
-    down = {u: row & top if top >> u & 1 else row | top for u, row in cols.items()}
-    strict = {u: row & top if top >> u & 1 else row | top for u, row in scols.items()}
-    return m.with_order(target, md.Preorder(m.worlds, down, strict))
+    rest, old = m.worlds ^ top, m.order(target).classes.items()
+    # a class splits at the phi zone: its phi-worlds keep what lay below
+    # them in the zone, its other worlds also get the whole zone below them
+    classes = {row & top: tie & top for row, tie in old if tie & top}
+    classes.update({row | top: tie & rest for row, tie in old if tie & rest})
+    return m.with_order(target, md.Preorder(m.worlds, classes))
 
 
 def contract(m: md.AgentModel, target: str, phi: fm.Formula) -> md.AgentModel:
@@ -56,12 +55,12 @@ def contract(m: md.AgentModel, target: str, phi: fm.Formula) -> md.AgentModel:
     counter = m.worlds & ~md.satisfying_worlds(phi, m.worlds, m.valuation)
     min_counter = old.min_set(counter)
     low = old.min_set(m.worlds) | min_counter
-    cols, scols = old.down_rows(), old.down_rows(strict=True)
-    down = {u: low if min_counter >> u & 1 else row | low for u, row in cols.items()}
-    # the promoted minima lie below every world, so nothing lies strictly
-    # below them; they lie strictly below every other world
-    strict = {u: 0 if low >> u & 1 else row | low for u, row in scols.items()}
-    return m.with_order(target, md.Preorder(m.worlds, down, strict))
+    # the global and the promoted minima form one bottom class; every other
+    # world keeps its row with that class added below it
+    classes = {row | low: tie & ~low for row, tie in old.classes.items() if tie & ~low}
+    if low:
+        classes[low] = low
+    return m.with_order(target, md.Preorder(m.worlds, classes))
 
 
 def product_update(m: md.AgentModel, lib: pl.PlanLibrary,
@@ -146,10 +145,11 @@ def graph_announce(ag: pg.AgentProgram, phi: fm.Formula) -> pg.AgentProgram:
     if not fm.is_propositional(phi):
         raise pg.ProgramError("non-propositional-formula", fm.render(phi))
     knowledge = ag.knowledge if phi in ag.knowledge else ag.knowledge + (phi,)
-    if not pg.knowledge_worlds(ag.atoms, knowledge):
+    announced = dataclasses.replace(ag, knowledge=knowledge)
+    if not announced.universe[0]:
         raise pg.ProgramError("inconsistent-knowledge",
                               f"announcing {fm.render(phi)} contradicts knowledge")
-    return dataclasses.replace(ag, knowledge=knowledge)
+    return announced
 
 
 def graph_upgrade(g: pg.PriorityGraph, phi: fm.Formula) -> pg.PriorityGraph:

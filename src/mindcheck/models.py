@@ -3,17 +3,20 @@
 World sets are int masks, bit w for world w: a model's worlds, each atom's
 valuation, every extension and every order row. World ids are small
 non-negative integers, stable within a model value: restriction keeps
-surviving ids, and ids are never reused. Each order stores two masks per
-world: a down row (the worlds at or below w) and a strict down row (those
-strictly below). Every attitude is read from what lies below a world, so
-nothing else is kept. Each order comes from the one Preorder constructor,
-which takes both row sets as they are. Loading closes the reversed
-generator pairs, which gives the down rows and the tie classes directly.
-Induction from a priority graph computes one down row per tie class, since
-worlds tie exactly when they satisfy the same graph nodes (Andreka, Ryan &
-Schobbens 2002). Restriction masks both row sets, upgrade and contraction
-derive them from the old ones, and the reduction a document is written
-from reads down rows only.
+surviving ids, and ids are never reused. An order is stored as its tie
+classes. Two worlds tie exactly when their down rows (the worlds at or
+below them) are equal, so an order is one map from each distinct down row
+to the mask of the worlds that have it, and a member's strict down row is
+its class's row less the class. Every attitude is read from what lies
+below a world, so nothing else is kept, and readers take a class at a
+time. Each order comes from the one Preorder constructor, which takes the
+class map as it is. Loading closes the reversed generator pairs in one
+pass whose components are the classes. Induction from a priority graph
+emits one class per node signature, since worlds tie exactly when they
+satisfy the same graph nodes (Andreka, Ryan & Schobbens 2002).
+Restriction masks each class, upgrade splits each class at the argument's
+worlds, contraction merges the promoted minima into one class, and the
+reduction a document is written from reads one row per class.
 
 Preorder._up closes the reduction's pairs into up rows on every read. The
 engine never reads it: it serves the benchmark's tracer, which counts
@@ -84,13 +87,13 @@ def columns(masks: Sequence[int], worlds: int) -> dict[WorldId, str]:
     return {w: cols[w] for w in ids(worlds)}
 
 
-def _bits(row: int):
-    """The set bits of row, ascending, one at a time: cheap on sparse rows
+def iter_ids(worlds: int):
+    """The worlds of a mask, ascending, one at a time: cheap on sparse masks
     and when the caller stops early, where ids() reads the whole width."""
-    while row:
-        low = row & -row
+    while worlds:
+        low = worlds & -worlds
         yield low.bit_length() - 1
-        row ^= low
+        worlds ^= low
 
 
 # Preorder.reduction_pairs sorts a class minimum's cover candidates by place
@@ -100,13 +103,12 @@ def _bits(row: int):
 _SCAN_RATIO = 8
 
 
-def _closure(rows: dict[WorldId, int]) -> tuple[dict[WorldId, int],
-                                               dict[WorldId, int]]:
+def _closure(rows: dict[WorldId, int]) -> dict[int, int]:
     """Reflexive-transitive closure of bit rows in one Tarjan SCC pass.
 
-    Returns the closed rows and, per world, its closed row less its own
-    component: the components are the closure's tie classes, so on down
-    rows that is the strict down row.
+    Returns the closure's tie classes, its components, as a map from each
+    component's closed row to the mask of its members: on down rows, the
+    class map a Preorder stores.
 
     Tarjan finishes a component only after every component it reaches, so
     its closed row is its members' bits ORed with the closed rows of the
@@ -119,7 +121,7 @@ def _closure(rows: dict[WorldId, int]) -> tuple[dict[WorldId, int],
     """
     index: dict[WorldId, int] = {}
     closed: dict[WorldId, int] = {}
-    strict: dict[WorldId, int] = {}
+    classes: dict[int, int] = {}
     finished = 0
     stack: list[WorldId] = []
     for root in rows:
@@ -164,34 +166,36 @@ def _closure(rows: dict[WorldId, int]) -> tuple[dict[WorldId, int],
                     low_bit = outside & -outside
                     row |= closed[low_bit.bit_length() - 1]
                     outside &= ~row
-                below = row & ~tie
+                classes[row] = tie
                 for u in members:
                     closed[u] = row
-                    strict[u] = below
-    return closed, strict
+    return classes
 
 
 class Preorder:
     """A binary relation over a finite carrier, intended reflexive+transitive.
 
-    Values are immutable once built. The carrier is a world mask, and an
-    order holds two row sets keyed by its worlds: per world w, its down row
-    (the u with u <= w) and its strict down row (the u with u < w). The one
-    constructor takes all three as they are and does not force the
-    invariants: validate() reports the first violation. from_pairs,
-    identity, total and restrict build through it, and so do induction and
-    the dynamic rewrites. Down sets, minima, le, pairs, the reduction,
-    validation, equality and hashing all read down rows. The _up property
-    is a shim for the benchmark's tracer only.
+    Values are immutable once built. The carrier is a world mask, and the
+    order is held as its tie classes: classes maps each distinct down row
+    (the u with u <= w, for the class's members w) to the mask of the
+    worlds that have it. Worlds tie exactly when their down rows are equal,
+    so the map is canonical, and a member's strict down row (the u with
+    u < w) is its class's row less the class. The one constructor takes the
+    map as it is and does not force the invariants (non-empty, disjoint
+    classes covering the carrier, each inside its row): validate() reports
+    the first reflexivity or transitivity violation. from_pairs, identity,
+    total and restrict build through it, and so do induction and the
+    dynamic rewrites. Minima, the reduction, equality and hashing read the
+    classes; down_rows, le, lt, pairs, strict_pairs and validate are
+    per-world views for readers outside the engine. The _up property is a
+    shim for the benchmark's tracer only.
     """
 
-    __slots__ = ("carrier", "_down", "_sdown")
+    __slots__ = ("carrier", "classes")
 
-    def __init__(self, carrier: int, down: dict[WorldId, int],
-                 strict: dict[WorldId, int]):
+    def __init__(self, carrier: int, classes: dict[int, int]):
         object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "_down", down)
-        object.__setattr__(self, "_sdown", strict)
+        object.__setattr__(self, "classes", classes)
 
     def __setattr__(self, name, value):
         raise AttributeError("Preorder is immutable")
@@ -202,8 +206,8 @@ class Preorder:
         """The order generated by pairs (w, u), read w <= u.
 
         Each pair sets bit w of u's down row, and one closure pass over
-        those rows gives the down rows and strict down rows. No pair end
-        outside the carrier is ever shifted into a mask.
+        those rows gives the classes. No pair end outside the carrier is
+        ever shifted into a mask.
         """
         pairs = list(pairs)
         down = dict.fromkeys(ids(carrier), 0)
@@ -212,52 +216,49 @@ class Preorder:
             raise ModelError(f"relation pair ({w},{u}) leaves the carrier")
         for w, u in pairs:
             down[u] |= 1 << w
-        return cls(carrier, *_closure(down))
+        return cls(carrier, _closure(down))
 
     @classmethod
     def identity(cls, carrier: int) -> "Preorder":
-        worlds = ids(carrier)
-        return cls(carrier, {w: 1 << w for w in worlds}, dict.fromkeys(worlds, 0))
+        return cls(carrier, {1 << w: 1 << w for w in iter_ids(carrier)})
 
     @classmethod
     def total(cls, carrier: int) -> "Preorder":
-        worlds = ids(carrier)
-        return cls(carrier, dict.fromkeys(worlds, carrier), dict.fromkeys(worlds, 0))
+        return cls(carrier, {carrier: carrier} if carrier else {})
 
     @property
     def _up(self) -> dict[WorldId, int]:
         """Per world w, the mask of all u with w <= u, closed from the
         reduction's pairs on every read. Only the benchmark's tracer reads
         it (bench/tracing.py counts relation pairs from it)."""
-        up = dict.fromkeys(self._down, 0)
+        up = dict.fromkeys(iter_ids(self.carrier), 0)
         for w, u in self.reduction_pairs():
             up[w] |= 1 << u
-        return _closure(up)[0]
+        return {w: row for row, tie in _closure(up).items() for w in iter_ids(tie)}
 
-    def down_rows(self, strict: bool = False) -> Mapping[WorldId, int]:
-        """Per world w, the mask of all u with u <= w (u < w if strict).
-
-        Read only.
-        """
-        return self._sdown if strict else self._down
+    def down_rows(self, strict: bool = False) -> dict[WorldId, int]:
+        """Per world w, the mask of all u with u <= w (u < w if strict),
+        spread from the classes into a new dict on every call."""
+        return {w: row & ~tie if strict else row
+                for row, tie in self.classes.items() for w in iter_ids(tie)}
 
     def le(self, w: WorldId, u: WorldId) -> bool:
-        return bool(self._down[u] >> w & 1)
+        return any(tie >> u & 1 and row >> w & 1 for row, tie in self.classes.items())
 
     def lt(self, w: WorldId, u: WorldId) -> bool:
-        return bool(self._sdown[u] >> w & 1)
+        return any(tie >> u & 1 and (row & ~tie) >> w & 1
+                   for row, tie in self.classes.items())
 
     @property
     def pairs(self) -> frozenset[tuple[WorldId, WorldId]]:
         return frozenset(
-            (w, u) for u, row in self._down.items() for w in _bits(row)
+            (w, u) for u, row in self.down_rows().items() for w in iter_ids(row)
         )
 
     def strict_pairs(self) -> frozenset[tuple[WorldId, WorldId]]:
         """The strict part: all (w,u) with w <= u and not u <= w."""
-        return frozenset(
-            (w, u) for u, row in self._sdown.items() for w in _bits(row)
-        )
+        rows = self.down_rows(strict=True)
+        return frozenset((w, u) for u, row in rows.items() for w in iter_ids(row))
 
     def reduction_pairs(self) -> list[list[WorldId]]:
         """The canonical transitive reduction, as ascending pairs [w, u].
@@ -268,73 +269,77 @@ class Preorder:
         (C' strictly above C, no class in between), [min C, min C'] links
         them. Reflexive pairs are left out.
 
-        Only down rows are read. The class minima, sorted by down-set size,
-        are a linear extension of the order. A class minimum's candidates
-        are the class minima strictly below it; the highest-placed candidate
-        left is a lower cover, since anything between them would be placed
-        higher and still be left. Each cover masks out its own strict down
-        row, so one row is read per cover, not per candidate. The pick walks
-        the extension downward when the candidates are many (a chain covers
-        at once), and sorts them by place when they are few (a tree's are
-        spread over the whole extension).
+        Each class is read once, and its minimum stands for it. The class
+        minima, sorted by down-set size, are a linear extension of the
+        order. A class minimum's candidates are the class minima strictly
+        below it; the highest-placed candidate left is a lower cover, since
+        anything between them would be placed higher and still be left.
+        Each cover masks out its own row, so one row is read per cover, not
+        per candidate. The pick walks the extension downward when the
+        candidates are many (a chain covers at once), and sorts them by
+        place when they are few (a tree's are spread over the whole
+        extension).
         """
-        down, sdown = self._down, self._sdown
-        ties = {w: row & ~sdown[w] for w, row in down.items()}
-        minima = sorted((w for w, t in ties.items() if t & -t == 1 << w),
-                        key=lambda w: down[w].bit_count())
+        rows: dict[WorldId, int] = {}  # class minimum -> its class's row
+        out: dict[WorldId, int] = {}
+        for row, tie in self.classes.items():
+            low = tie & -tie
+            head = w = low.bit_length() - 1
+            rows[head] = row
+            for u in iter_ids(tie ^ low):
+                out[w], w = 1 << u, u  # next member
+            if w != head:
+                out[w] = low  # wrap to c0
+        minima = sorted(rows, key=lambda w: rows[w].bit_count())
         place = {w: i for i, w in enumerate(minima)}
-        out = dict.fromkeys(down, 0)
-        for w, t in ties.items():
-            if t != 1 << w:
-                later = t >> (w + 1) << (w + 1)
-                out[w] = later & -later or t & -t  # next member, or wrap to c0
         heads = mask(minima)
         for u in minima:
-            left = sdown[u] & heads
+            bit = 1 << u
+            left = rows[u] & heads & ~bit
             if not left:
                 continue
-            bit, top = 1 << u, place[u]
+            top = place[u]
             if left.bit_count() * _SCAN_RATIO < top:
-                picks = sorted(_bits(left), key=place.__getitem__, reverse=True)
+                picks = sorted(iter_ids(left), key=place.__getitem__, reverse=True)
             else:
                 picks = map(minima.__getitem__, range(top - 1, -1, -1))
             for w in picks:
                 if left >> w & 1:
-                    out[w] |= bit
-                    left &= ~down[w]  # w is the only class minimum in its class
+                    out[w] = out.get(w, 0) | bit
+                    left &= ~rows[w]  # w is the only class minimum in its class
                     if not left:
                         break
         pairs: list[list[WorldId]] = []
         for w in sorted(out):
-            for u in _bits(out[w]):
+            for u in iter_ids(out[w]):
                 pairs.append([w, u])
         return pairs
 
     def min_set(self, s: int) -> int:
-        """The worlds of mask s with no strictly smaller world in s."""
+        """The worlds of mask s with no strictly smaller world in s: the
+        members in s of each class whose row meets s only inside the class."""
         if s & ~self.carrier:
             raise ModelError(f"worlds {ids(s & ~self.carrier)} outside carrier")
-        sdown = self._sdown
-        return sum(1 << w for w in ids(s) if not sdown[w] & s)
+        return sum(tie & s for row, tie in self.classes.items() if row & s == tie & s)
 
     def restrict(self, keep: int) -> "Preorder":
         if keep & ~self.carrier:
             raise ModelError(f"worlds {ids(keep & ~self.carrier)} outside carrier")
-        worlds = ids(keep)
-        return Preorder(keep, {w: self._down[w] & keep for w in worlds},
-                        {w: self._sdown[w] & keep for w in worlds})
+        return Preorder(keep, {row & keep: tie & keep
+                               for row, tie in self.classes.items() if tie & keep})
 
     def validate(self) -> Optional[Violation]:
         """The first missing reflexive pair, else the first missing
         transitive one: for x and u <= x in ascending order, the lowest w
         in u's down row but not in x's."""
-        for w in sorted(self._down):
-            if not self.le(w, w):
+        down = self.down_rows()
+        for w in sorted(down):
+            if not down[w] >> w & 1:
                 return Violation("reflexivity", (w,))
-        for x in sorted(self._down):
-            row = self._down[x]
-            for u in _bits(row):
-                missing = self._down[u] & ~row
+        for x in sorted(down):
+            row = down[x]
+            for u in iter_ids(row):
+                missing = down[u] & ~row
                 if missing:
                     w = (missing & -missing).bit_length() - 1
                     return Violation("transitivity", (w, u, x))
@@ -342,10 +347,10 @@ class Preorder:
 
     def __eq__(self, other):
         return (isinstance(other, Preorder)
-                and self.carrier == other.carrier and self._down == other._down)
+                and self.carrier == other.carrier and self.classes == other.classes)
 
     def __hash__(self):
-        return hash((self.carrier, tuple(sorted(self._down.items()))))
+        return hash((self.carrier, frozenset(self.classes.items())))
 
     def __repr__(self):
         nonrefl = sorted((w, u) for (w, u) in self.pairs if w != u)

@@ -101,19 +101,19 @@ def induced_order(g: PriorityGraph, worlds: int,
 
     Two worlds tie exactly when they satisfy the same nodes (Andreka, Ryan
     & Schobbens 2002), so a down row depends only on the world's node
-    signature: one row is computed per signature, and each member's strict
-    down row is that row less its signature class.
+    signature: the worlds of one signature are one class, and its row is
+    computed once.
     """
     higher: list[list[int]] = [[] for _ in g.nodes]
     for hi, lo in g.prec:
         higher[lo].append(hi)
     sat = [md.satisfying_worlds(n, worlds, valuation) for n in g.nodes]
     fails = [worlds ^ s for s in sat]
-    classes: dict[str, list[md.WorldId]] = {}
+    members: dict[str, list[md.WorldId]] = {}
     for w, signature in md.columns(sat, worlds).items():
-        classes.setdefault(signature, []).append(w)
-    down, strict = {}, {}
-    for signature, members in classes.items():
+        members.setdefault(signature, []).append(w)
+    classes = {}
+    for signature, ws in members.items():
         beaten = 0
         for holds, phi_fails, above in zip(signature, fails, higher):
             if holds == "1":
@@ -121,12 +121,8 @@ def induced_order(g: PriorityGraph, worlds: int,
                     if signature[psi] == "0":
                         phi_fails &= fails[psi]
                 beaten |= phi_fails
-        row = worlds ^ beaten
-        below = row & ~sum(1 << w for w in members)
-        for w in members:
-            down[w] = row
-            strict[w] = below
-    return md.Preorder(worlds, down, strict)
+        classes[worlds ^ beaten] = md.mask(ws)
+    return md.Preorder(worlds, classes)
 
 
 def extract_graph(m: md.AgentModel, tag: str) -> PriorityGraph:
@@ -185,8 +181,7 @@ def extract_graph(m: md.AgentModel, tag: str) -> PriorityGraph:
         return tree(int("".join(pick(format(row, fmt))), 2))
 
     order = m.order(tag)
-    down = order.down_rows()
-    nested = sorted(set(down.values()), key=int.bit_count)
+    nested = sorted(order.classes, key=int.bit_count)
     if all(lo & ~hi == 0 for lo, hi in zip(nested, nested[1:])):
         # nested[k-1-v] holds the worlds of value v or more. Bit j of a value
         # flips at each multiple of 2^j, so XOR-ing those rows leaves the
@@ -200,22 +195,22 @@ def extract_graph(m: md.AgentModel, tag: str) -> PriorityGraph:
             nodes.append(node(row))
         return PriorityGraph(tuple(nodes),
                              frozenset(combinations(range(len(nodes)), 2)))
-    # D_w is meet-reducible exactly when it equals the intersection of its
-    # upper covers' down-sets, the full set when it has none. The
-    # cross-class reduction pairs [w, u] are those covers, so one AND per
-    # cover finds the reducible rows, and they seed the dedupe set.
-    meet = dict.fromkeys(down, order.carrier)
+    # A down-set is meet-reducible exactly when it equals the intersection
+    # of its upper covers' down-sets, the full set when it has none. The
+    # reduction pairs [w, u] between two class minima are those covers (a
+    # tie cycle's pairs always have a non-minimum end), so one AND per
+    # cover finds the reducible rows. Each kept row is placed by its
+    # class's first world in valuation order.
+    heads = {(tie & -tie).bit_length() - 1: (row, tie)
+             for row, tie in order.classes.items()}
+    meet = dict.fromkeys(heads, order.carrier)
     for w, u in order.reduction_pairs():
-        if down[w] != down[u]:
-            meet[w] &= down[u]
-    nodes = []
-    seen = {row for w, row in down.items() if meet[w] == row}
-    for bits in sorted(by_val):
-        row = down[by_val[bits]]
-        if row not in seen:
-            seen.add(row)
-            nodes.append(node(row))
-    return PriorityGraph(tuple(nodes), frozenset())
+        if w in heads and u in heads:
+            meet[w] &= heads[u][0]
+    bits = m.bits_by_world
+    first = {min(map(bits.__getitem__, md.iter_ids(tie))): row
+             for w, (row, tie) in heads.items() if meet[w] != row}
+    return PriorityGraph(tuple(node(first[b]) for b in sorted(first)), frozenset())
 
 
 def _decision_trees(atoms: list[str]):
@@ -277,41 +272,31 @@ class AgentProgram:
 
     @cached_property
     def universe(self) -> tuple[int, dict[str, int]]:
-        """The knowledge worlds and the valuation on them, as masks,
-        computed once per program value. Read only."""
-        return _knowledge_model(self.atoms, self.knowledge)
+        """The knowledge worlds, the valuations over the atom set that
+        satisfy every knowledge formula, and the valuation of the atoms on
+        them, as masks; computed once per program value. Read only.
 
-
-def knowledge_worlds(atoms: tuple[str, ...], knowledge: Iterable[fm.Formula]) -> int:
-    """Valuations over the atom set satisfying every knowledge formula, as a mask.
-
-    World ids double as valuation bit masks: bit i is atom i of the declared
-    order.
-    """
-    return _knowledge_model(atoms, knowledge)[0]
-
-
-def _knowledge_model(atoms: tuple[str, ...], knowledge: Iterable[fm.Formula]
-                     ) -> tuple[int, dict[str, int]]:
-    """knowledge_worlds, and the valuation of the atoms on those worlds."""
-    if len(atoms) > md.MAX_PROGRAM_ATOMS:
-        raise ProgramError(
-            "too-many-atoms",
-            f"{len(atoms)} atoms would enumerate {2 ** len(atoms)} worlds",
-        )
-    full = (1 << (1 << len(atoms))) - 1
-    valuation = {}
-    for i, a in enumerate(atoms):
-        # atom i holds on the upper run of 2^i ids in every period of
-        # 2^(i+1): full // (2^period - 1) has bit 0 of each period set
-        run = 1 << i
-        valuation[a] = full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
-    worlds = full
-    for f in knowledge:
-        worlds = md.satisfying_worlds(f, worlds, valuation)
-    if worlds != full:
-        valuation = {a: ws & worlds for a, ws in valuation.items()}
-    return worlds, valuation
+        World ids double as valuation bit masks: bit i is atom i of the
+        declared order.
+        """
+        if len(self.atoms) > md.MAX_PROGRAM_ATOMS:
+            raise ProgramError(
+                "too-many-atoms",
+                f"{len(self.atoms)} atoms would enumerate {2 ** len(self.atoms)} worlds",
+            )
+        full = (1 << (1 << len(self.atoms))) - 1
+        valuation = {}
+        for i, a in enumerate(self.atoms):
+            # atom i holds on the upper run of 2^i ids in every period of
+            # 2^(i+1): full // (2^period - 1) has bit 0 of each period set
+            run = 1 << i
+            valuation[a] = full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+        worlds = full
+        for f in self.knowledge:
+            worlds = md.satisfying_worlds(f, worlds, valuation)
+        if worlds != full:
+            valuation = {a: ws & worlds for a, ws in valuation.items()}
+        return worlds, valuation
 
 
 def induce_program(ag: AgentProgram, lib: pl.PlanLibrary,

@@ -37,6 +37,23 @@ def world_mask(ids) -> int:
     return sum(1 << w for w in set(ids))
 
 
+def assert_class_map(order, le):
+    """order stores the closed pair set le as its class map: every class
+    is non-empty, the classes are pairwise disjoint and cover the carrier,
+    each lies inside its row, and each member's down-set and strict
+    down-set in le are the row and the row less the class."""
+    carrier = world_set(order.carrier)
+    covered = 0
+    for row, tie in order.classes.items():
+        assert tie and not tie & covered and not tie & ~row
+        covered |= tie
+        for u in (w for w in carrier if tie >> w & 1):
+            down = {w for w in carrier if (w, u) in le}
+            assert row == world_mask(down)
+            assert row & ~tie == world_mask(w for w in down if (u, w) not in le)
+    assert covered == order.carrier
+
+
 def running_library():
     return pl.load_library(LIBRARY_DOC)
 

@@ -120,12 +120,13 @@ def random_program(rng: random.Random, n_atoms=2,
                    max_knowledge=1) -> pg.AgentProgram:
     """A consistent-knowledge program with empty intentions."""
     atoms = ATOMS[:n_atoms]
+    empty = pg.PriorityGraph((), frozenset())
     while True:
         knowledge = tuple(
             random_prop(rng, atoms, depth=1)
             for _ in range(rng.randint(0, max_knowledge))
         )
-        if pg.knowledge_worlds(atoms, knowledge):
+        if pg.AgentProgram(atoms, knowledge, empty, empty, frozenset()).universe[0]:
             break
     return pg.AgentProgram(
         atoms, knowledge, random_graph(rng, atoms), random_graph(rng, atoms),

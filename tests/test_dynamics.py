@@ -12,8 +12,8 @@ from mindcheck import plans as pl
 import generators
 import oracles
 import strategies as gen
-from common import (pareto_program, ranked_program, running_library, running_model,
-                    running_program, world_set)
+from common import (assert_class_map, pareto_program, ranked_program, running_library,
+                    running_model, running_program, world_set)
 from generators import models_isomorphic
 
 P, Q = fm.Atom("p"), fm.Atom("q")
@@ -230,6 +230,20 @@ class TestPreorderPreservation:
         for got in results:
             assert got.plausibility.validate() is None
             assert got.desirability.validate() is None
+        # each order is its class map, against the pair-set definitions
+        worlds = world_set(m.worlds)
+        sat = world_set(md.satisfying_worlds(phi, m.worlds, m.valuation))
+        announced, up_p, up_d, drop_p, drop_d, *updated = results
+        for tag, up, drop in (("P", up_p, drop_p), ("D", up_d, drop_d)):
+            old = m.order(tag).pairs
+            assert_class_map(announced.order(tag), oracles.announce_pairs(worlds, old, sat))
+            assert_class_map(up.order(tag), oracles.upgrade_pairs(worlds, old, sat))
+            assert_class_map(drop.order(tag),
+                             oracles.contract_pairs(worlds, old, worlds - sat))
+            for name, got in zip(sorted(lib.plans), updated):
+                pre = world_set(md.satisfying_worlds(lib.plans[name].pre, m.worlds,
+                                                     m.valuation))
+                assert_class_map(got.order(tag), oracles.announce_pairs(worlds, old, pre))
 
 
 class TestMentalOp:

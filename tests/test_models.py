@@ -13,7 +13,7 @@ from mindcheck import pgraph as pg
 
 import oracles
 import strategies as gen
-from common import world_mask, world_set
+from common import assert_class_map, world_mask, world_set
 
 
 def chain(*ids):
@@ -24,13 +24,14 @@ def chain(*ids):
 
 def rows_order(worlds, pairs):
     """The order on the id set worlds whose rows hold pairs as they are,
-    closed or not: u's down row holds each w with (w, u), its strict row
-    those without (u, w)."""
+    closed or not: u's down row holds each w with (w, u), and the worlds
+    with equal down rows are grouped into one class."""
     pairs = set(pairs)
-    down = {u: sum(1 << w for w in worlds if (w, u) in pairs) for u in worlds}
-    strict = {u: sum(1 << w for w in worlds if (w, u) in pairs and (u, w) not in pairs)
-              for u in worlds}
-    return md.Preorder(world_mask(worlds), down, strict)
+    classes = {}
+    for u in worlds:
+        row = sum(1 << w for w in worlds if (w, u) in pairs)
+        classes[row] = classes.get(row, 0) | 1 << u
+    return md.Preorder(world_mask(worlds), classes)
 
 
 def full_two_atom_model():
@@ -410,6 +411,7 @@ class TestRowConstruction:
             assert order.carrier == full and order.pairs == le
             assert dict(order.down_rows(strict=True)) == dict.fromkeys(ids, 0)
             assert order.validate() is None
+            assert_class_map(order, le)
         assert dict(md.Preorder.total(full).down_rows()) == dict.fromkeys(ids, full)
 
     def test_long_chain_closes_without_recursion(self):
@@ -425,7 +427,12 @@ class TestRowConstruction:
         o = md.Preorder.from_pairs(world_mask(worlds), pairs)
         le = warshall(worlds, pairs)
         keep = frozenset(rng.sample(sorted(worlds), k=rng.randint(0, len(worlds))))
-        for order, carrier in ((o, worlds), (o.restrict(world_mask(keep)), keep)):
+        restricted = o.restrict(world_mask(keep))
+        # restriction drops the classes it empties and never merges two
+        assert sorted(restricted.classes.values()) == sorted(
+            tie & world_mask(keep) for tie in o.classes.values() if tie & world_mask(keep))
+        for order, carrier in ((o, worlds), (restricted, keep)):
+            assert_class_map(order, le)
             down, strict = order.down_rows(), order.down_rows(strict=True)
             for w in carrier:
                 assert row_members(down[w], carrier) == {u for u in carrier if (u, w) in le}
@@ -473,7 +480,9 @@ class TestRowConstruction:
 
         worlds = world_set(m.worlds)
         expected = frozenset((w, u) for w in worlds for u in worlds if le(w, u))
-        assert pg.induced_order(g, m.worlds, m.valuation).pairs == expected
+        got = pg.induced_order(g, m.worlds, m.valuation)
+        assert got.pairs == expected
+        assert_class_map(got, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +586,8 @@ class TestTranspose:
 
 
 class TestDownOnlyRewrites:
-    """Upgrade and contraction build down rows and strict down rows from
-    the old ones alone."""
+    """Upgrade and contraction build their class maps from the old ones
+    alone."""
 
     @settings(max_examples=300)
     @given(sparse_models(), gen.prop_formulas(), gen.order_tags(), st.booleans())
@@ -589,12 +598,18 @@ class TestDownOnlyRewrites:
         if is_upgrade:
             got = dynamics.upgrade(m, tag, phi).order(tag)
             expected = oracles.upgrade_pairs(worlds, old.pairs, sat)
+            # upgrade splits each class at the phi zone and never merges two
+            top = world_mask(sat)
+            assert sorted(got.classes.values()) == sorted(
+                part for tie in old.classes.values() for part in (tie & top, tie & ~top)
+                if part)
         else:
             got = dynamics.contract(m, tag, phi).order(tag)
             expected = oracles.contract_pairs(worlds, old.pairs, worlds - sat)
         assert got.pairs == expected
         assert got.strict_pairs() == oracles.strict(expected)
         assert got.reduction_pairs() == canonical_reduction(worlds, expected)
+        assert_class_map(got, expected)
 
 
 def shuffled_ids(n, seed):
@@ -716,7 +731,7 @@ class TestClosureOfClosedInputs:
 
 
 # ---------------------------------------------------------------------------
-# Loading: documents close to down rows and strict down rows.
+# Loading: documents close to class maps, read through the per-world views.
 
 @st.composite
 def generator_documents(draw):
