@@ -6,6 +6,11 @@ then shows what announcing p does to the intention set, and finally the
 composed revision that drops intentions contradicted by incoming news.
 """
 
+import pathlib
+import sys
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
 import mindcheck as mc
 from mindcheck.models import ids
 

@@ -63,7 +63,7 @@ def sweep_commutation(rng, count, n_atoms):
             side = pg.induce_program(up, lib, check_intentions=False)
             bad += not isomorphic(side, dynamics.upgrade(base, tag, phi))
         for target, tag in (("B", "P"), ("D", "D")):
-            down = dynamics.graph_contract(ag, target, phi, lib)
+            down = dynamics.graph_contract(ag, target, phi)
             side = pg.induce_program(down, lib, check_intentions=False)
             bad += not isomorphic(side, dynamics.contract(base, tag, phi))
         side = pg.induce_program(dynamics.revise_drop(ag, phi, lib), lib,

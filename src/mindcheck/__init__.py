@@ -25,8 +25,8 @@ from .pgraph import (
     induce_program, induced_order, load_program, make_graph,
 )
 from .dynamics import (
-    MentalOp, announce, contract, filter_intentions, graph_announce,
-    graph_contract, graph_upgrade, product_update, revise_drop, upgrade,
+    announce, contract, filter_intentions, graph_announce, graph_contract,
+    graph_upgrade, product_update, revise_drop, upgrade,
 )
 from .checker import (
     EmptyModelError, check_proposition1, extension, holds,

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from . import checker, dynamics, formulas as fm, models as md
 from . import pgraph as pg, plans as pl
@@ -41,12 +41,11 @@ class AssertStep:
     formula: fm.Formula
 
 
-@dataclass(frozen=True)
-class FilterStep:
-    pass
-
-
-ScriptStep = Union[dynamics.MentalOp, AssertStep, FilterStep]
+# An operation step maps (model, library) to the next model. It looks its
+# dynamics function up when it runs, so a wrapper installed on the module
+# after parsing (bench/tracing.py) still sees every call.
+ScriptStep = Union[Callable[[md.AgentModel, pl.PlanLibrary], md.AgentModel],
+                   AssertStep]
 
 
 def main(argv=None) -> int:
@@ -142,7 +141,7 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise CliError("file-error", f"{path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError("file-error", f"{path}: {exc}") from exc
 
 
@@ -255,8 +254,11 @@ def _world_entries(v) -> bool:
 
 def _write_out(args, text: str) -> None:
     """Write an already rendered document to --out."""
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise CliError("file-error", f"{args.out}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +321,22 @@ def parse_script(text: str) -> list[tuple[int, str, ScriptStep]]:
 
 def _parse_step(head: str, rest: str) -> ScriptStep:
     if head == "announce":
-        return dynamics.MentalOp("announce", argument=_prop(rest))
+        phi = _prop(rest)
+        return lambda m, lib: dynamics.announce(m, phi)
     if head in ("upgrade", "contract"):
         target, _, text = rest.partition(" ")
         if target not in ("P", "D") or not text.strip():
             raise ValueError(f"{head} needs a target (P or D) and a formula")
-        return dynamics.MentalOp(head, target=target, argument=_prop(text.strip()))
+        phi = _prop(text.strip())
+        return lambda m, lib: getattr(dynamics, head)(m, target, phi)
     if head == "update":
         if not rest or " " in rest:
             raise ValueError("update needs exactly one plan symbol")
-        return dynamics.MentalOp("product_update", argument=rest)
+        return lambda m, lib: dynamics.product_update(m, lib, rest)
     if head == "filter":
         if rest:
             raise ValueError("filter takes no argument")
-        return FilterStep()
+        return lambda m, lib: dynamics.filter_intentions(m, lib)
     if head == "assert":
         if not rest:
             raise ValueError("assert needs a formula")
@@ -392,6 +396,8 @@ def cmd_trace(args) -> int:
             steps = parse_script(fh.read())
     except OSError as exc:
         raise CliError("file-error", f"{args.script}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError("file-error", f"{args.script}: {exc}") from exc
     reports = []
     failed_assert: Optional[dict] = None
     for index, (lineno, line, step) in enumerate(steps, start=1):
@@ -407,10 +413,7 @@ def cmd_trace(args) -> int:
                     failed_assert = report
                     break
                 continue
-            if isinstance(step, FilterStep):
-                m = dynamics.filter_intentions(m, lib)
-            else:
-                m = step.apply(m, lib)
+            m = step(m, lib)
             report = _step_report(index, line, m, lib)
         except _ENGINE_ERRORS as exc:
             raise CliError(

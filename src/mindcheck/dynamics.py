@@ -6,16 +6,15 @@ contraction (the best counter-worlds promoted into the global minimum), and
 product update (plan execution: restrict to the precondition, overwrite the
 post-condition atoms).
 
-Program level: each operation has a priority-graph counterpart whose induced
-model matches the model-level result. Intentions are never dropped
+Program level: announcement, upgrade and contraction each have a
+priority-graph counterpart whose induced model matches the model-level
+result, and none of them builds a model. Intentions are never dropped
 implicitly; filter_intentions restores P-consistency on demand.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-from typing import Union
 
 from . import formulas as fm
 from . import models as md
@@ -87,57 +86,6 @@ def product_update(m: md.AgentModel, lib: pl.PlanLibrary,
 
 
 # ---------------------------------------------------------------------------
-# Operation values (script steps, composition)
-
-@dataclass(frozen=True)
-class MentalOp:
-    """A mental-change operation as a value.
-
-    announce and product_update touch both orders, so their target is
-    "both"; upgrade and contract act on exactly one order.
-    """
-
-    kind: str  # announce | upgrade | contract | product_update | composite
-    target: str = "both"  # P | D | both
-    argument: Union[fm.Formula, str, None] = None
-    steps: tuple["MentalOp", ...] = ()
-
-    def __post_init__(self):
-        if self.kind in ("announce", "product_update"):
-            if self.target != "both":
-                raise ValueError(f"{self.kind} targets both orders")
-        elif self.kind in ("upgrade", "contract"):
-            if self.target not in ("P", "D"):
-                raise ValueError(f"{self.kind} needs target P or D")
-        elif self.kind != "composite":
-            raise ValueError(f"bad operation kind {self.kind!r}")
-
-    def apply(self, m: md.AgentModel, lib: pl.PlanLibrary) -> md.AgentModel:
-        if self.kind == "announce":
-            return announce(m, self.argument)
-        if self.kind == "upgrade":
-            return upgrade(m, self.target, self.argument)
-        if self.kind == "contract":
-            return contract(m, self.target, self.argument)
-        if self.kind == "product_update":
-            return product_update(m, lib, self.argument)
-        for step in self.steps:
-            m = step.apply(m, lib)
-        return m
-
-    def describe(self) -> str:
-        if self.kind == "announce":
-            return f"announce {fm.render(self.argument)}"
-        if self.kind == "upgrade":
-            return f"upgrade {self.target} {fm.render(self.argument)}"
-        if self.kind == "contract":
-            return f"contract {self.target} {fm.render(self.argument)}"
-        if self.kind == "product_update":
-            return f"update {self.argument}"
-        return "; ".join(step.describe() for step in self.steps)
-
-
-# ---------------------------------------------------------------------------
 # Graph-level counterparts
 
 def graph_announce(ag: pg.AgentProgram, phi: fm.Formula) -> pg.AgentProgram:
@@ -170,27 +118,40 @@ def graph_upgrade(g: pg.PriorityGraph, phi: fm.Formula) -> pg.PriorityGraph:
     return pg.PriorityGraph((phi,) + tuple(g.nodes[i] for i in kept), prec)
 
 
-def graph_contract(ag: pg.AgentProgram, target: str, phi: fm.Formula,
-                   lib: pl.PlanLibrary) -> pg.AgentProgram:
-    """Contract one graph via the induced model.
+def graph_contract(ag: pg.AgentProgram, target: str,
+                   phi: fm.Formula) -> pg.AgentProgram:
+    """Contract one graph by weakening every node with the promoted worlds.
 
-    No direct graph surgery is available for natural contraction, so the
-    induced order is contracted and a fresh graph extracted from the result;
-    induced-program worlds have injective valuations, which extraction needs.
-    A contracted total order stays total, so its graph is the rank-bit
-    chain, ceil(log2 k) nodes for k tie classes. Any other order comes
-    back as its meet-irreducible down-sets, never more nodes than it has
-    distinct down-sets: the Pareto order of n atoms, contracted by one of
-    them, comes back as n nodes.
+    contract merges low, the global minima and the minimal non-phi worlds,
+    into one bottom class and keeps every other pair. On the graph (Souza,
+    Moreira, Vieira & Meyer 2016) each node n becomes n | chi, where chi
+    holds exactly on low, and prec is unchanged. The chi-worlds satisfy
+    every node, so they tie below all others. Outside chi every node keeps
+    its extension, so the order there is unchanged, and no world there
+    satisfies every node: it would be a global minimum, in low.
+
+    chi is the reduced decision tree of low. A program's world id is its
+    valuation code, declared atom i at bit i, so low is already the truth
+    table over the atoms in reverse declared order. Each contraction adds
+    one chi to the end of every node's | chain: the parenthesis depth stays
+    that of the deepest chi, but the text grows by one chi per node. Over
+    50 contractions the 10-atom ranked program grows from 1.2 KB to 47 KB,
+    at depth 8.
     """
     if target not in ("B", "D"):
         raise pg.ProgramError("bad-target", f"graph_contract target {target!r}")
-    order_tag = "P" if target == "B" else "D"
-    m = pg.induce_program(ag, lib, check_intentions=False)
-    new_graph = pg.extract_graph(contract(m, order_tag, phi), order_tag)
-    if target == "B":
-        return dataclasses.replace(ag, beliefs=new_graph)
-    return dataclasses.replace(ag, desires=new_graph)
+    worlds, valuation = ag.universe
+    if not worlds:
+        raise pg.ProgramError("inconsistent-knowledge",
+                              "no valuation satisfies the knowledge set")
+    field = "beliefs" if target == "B" else "desires"
+    g = getattr(ag, field)
+    order = pg.induced_order(g, worlds, valuation)
+    counter = worlds & ~md.satisfying_worlds(phi, worlds, valuation)
+    low = order.min_set(worlds) | order.min_set(counter)
+    chi = pg._decision_trees(ag.atoms[::-1])(low)
+    weakened = pg.PriorityGraph(tuple(fm.Or(n, chi) for n in g.nodes), g.prec)
+    return dataclasses.replace(ag, **{field: weakened})
 
 
 def filter_intentions(m: md.AgentModel, lib: pl.PlanLibrary) -> md.AgentModel:
@@ -212,7 +173,7 @@ def revise_drop(ag: pg.AgentProgram, phi: fm.Formula,
     Contract the desire graph by the negation, upgrade the belief graph by
     phi, then re-filter the intention set.
     """
-    ag = graph_contract(ag, "D", fm.Not(phi), lib)
+    ag = graph_contract(ag, "D", fm.Not(phi))
     ag = dataclasses.replace(ag, beliefs=graph_upgrade(ag.beliefs, phi))
     m = pg.induce_program(ag, lib, check_intentions=False)
     filtered = filter_intentions(m, lib)

@@ -281,21 +281,20 @@ class Preorder:
         extension).
         """
         rows: dict[WorldId, int] = {}  # class minimum -> its class's row
-        out: dict[WorldId, int] = {}
+        out: dict[WorldId, list[WorldId]] = {}  # w -> the u of its pairs
         for row, tie in self.classes.items():
             low = tie & -tie
             head = w = low.bit_length() - 1
             rows[head] = row
             for u in iter_ids(tie ^ low):
-                out[w], w = 1 << u, u  # next member
+                out[w], w = [u], u  # next member
             if w != head:
-                out[w] = low  # wrap to c0
+                out[w] = [head]  # wrap to c0
         minima = sorted(rows, key=lambda w: rows[w].bit_count())
         place = {w: i for i, w in enumerate(minima)}
         heads = mask(minima)
         for u in minima:
-            bit = 1 << u
-            left = rows[u] & heads & ~bit
+            left = rows[u] & heads & ~(1 << u)
             if not left:
                 continue
             top = place[u]
@@ -305,15 +304,11 @@ class Preorder:
                 picks = map(minima.__getitem__, range(top - 1, -1, -1))
             for w in picks:
                 if left >> w & 1:
-                    out[w] = out.get(w, 0) | bit
+                    out.setdefault(w, []).append(u)
                     left &= ~rows[w]  # w is the only class minimum in its class
                     if not left:
                         break
-        pairs: list[list[WorldId]] = []
-        for w in sorted(out):
-            for u in iter_ids(out[w]):
-                pairs.append([w, u])
-        return pairs
+        return [[w, u] for w in sorted(out) for u in sorted(out[w])]
 
     def min_set(self, s: int) -> int:
         """The worlds of mask s with no strictly smaller world in s: the

@@ -33,9 +33,6 @@ class Plan:
 class PlanLibrary:
     plans: Mapping[str, Plan]
 
-    def __iter__(self):
-        return iter(sorted(self.plans))
-
     def get(self, symbol: str) -> Plan:
         try:
             return self.plans[symbol]

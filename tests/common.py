@@ -78,6 +78,17 @@ def ranked_program(n: int):
     })
 
 
+def few_node_program(n: int):
+    """Atoms a0 ... a(n-1), no knowledge, no intentions. The beliefs rank
+    a0 then a1; the desires have the one node a0|a1."""
+    atoms = [f"a{i}" for i in range(n)]
+    return pg.load_program({
+        "atoms": atoms,
+        "B": {"nodes": atoms[:2], "ranks": [0, 1]},
+        "D": {"nodes": ["a0 | a1"], "ranks": [0]},
+    })
+
+
 def pareto_program(n: int):
     """Atoms a0 ... a(n-1), no knowledge, no intentions. Every atom is a
     belief node and no edge orders them, so the belief order is the

@@ -168,7 +168,7 @@ def test_criterion_6_graph_model_commutation():
                 failures += 1
 
         for target, tag in (("B", "P"), ("D", "D")):
-            contracted = dynamics.graph_contract(ag, target, phi, lib)
+            contracted = dynamics.graph_contract(ag, target, phi)
             graph_side = pg.induce_program(contracted, lib,
                                            check_intentions=False)
             if not models_isomorphic(graph_side,

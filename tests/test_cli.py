@@ -433,6 +433,34 @@ class TestMalformedInput:
             assert code in (0, 1) and err == ""
 
 
+class TestFileFaults:
+    """Unreadable input and unwritable output are file errors, never
+    internal ones."""
+
+    @pytest.mark.parametrize("flag", ["--model", "--script"])
+    def test_undecodable_input(self, capsys, tmp_path, flag):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff{}")
+        model = str(bad) if flag == "--model" else fx("chain_model.json")
+        argv = ["eval", "--model", model, "--formula", "p"]
+        if flag == "--script":
+            argv = ["trace", "--model", model, "--script", str(bad)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: file-error: {bad}: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("induce", "--program", fx("running_program.json"),
+         "--library", fx("running_library.json")),
+        ("extract", "--model", fx("chain_model.json")),
+    ])
+    def test_unwritable_out(self, capsys, tmp_path, argv):
+        for out in (tmp_path / "missing" / "x.json", tmp_path):
+            code, _, err = run(capsys, *argv, "--out", str(out))
+            assert code == 2
+            assert err.startswith(f"error: file-error: {out}: ")
+
+
 class TestChainInduce:
     """A 10-atom chain program: the reduction has O(W) pairs per order."""
 
@@ -504,14 +532,14 @@ class TestNineAtomExtract:
         ag = pg.load_program(self.PROGRAM)
         phi = fm.parse("a0")
         for target, tag in (("B", "P"), ("D", "D")):
-            contracted = dynamics.graph_contract(ag, target, phi, pl.EMPTY_LIBRARY)
+            contracted = dynamics.graph_contract(ag, target, phi)
             m = pg.induce_program(contracted, pl.EMPTY_LIBRARY)
             expected = dynamics.contract(pg.induce_program(ag, pl.EMPTY_LIBRARY), tag, phi)
             assert m.order(tag) == expected.order(tag)
 
     def test_revise_and_upgrade_with_extracted_nodes(self):
         ag = dynamics.graph_contract(pg.load_program(self.PROGRAM), "B",
-                                     fm.parse("a0"), pl.EMPTY_LIBRARY)
+                                     fm.parse("a0"))
         revised = dynamics.revise_drop(ag, fm.parse("a1"), pl.EMPTY_LIBRARY)
         m = pg.induce_program(revised, pl.EMPTY_LIBRARY)
         extracted = revised.beliefs.nodes[-1]

@@ -1,7 +1,8 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mindcheck import checker, dynamics
 from mindcheck import formulas as fm
@@ -12,8 +13,8 @@ from mindcheck import plans as pl
 import generators
 import oracles
 import strategies as gen
-from common import (assert_class_map, pareto_program, ranked_program, running_library,
-                    running_model, running_program, world_set)
+from common import (assert_class_map, few_node_program, pareto_program, ranked_program,
+                    running_library, running_model, running_program, world_set)
 from generators import models_isomorphic
 
 P, Q = fm.Atom("p"), fm.Atom("q")
@@ -246,31 +247,6 @@ class TestPreorderPreservation:
                 assert_class_map(got.order(tag), oracles.announce_pairs(worlds, old, pre))
 
 
-class TestMentalOp:
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            dynamics.MentalOp("announce", target="P", argument=P)
-        with pytest.raises(ValueError):
-            dynamics.MentalOp("upgrade", target="both", argument=P)
-        with pytest.raises(ValueError):
-            dynamics.MentalOp("sideways", argument=P)
-
-    def test_composite_applies_in_order(self):
-        m = chain_model()
-        op = dynamics.MentalOp("composite", steps=(
-            dynamics.MentalOp("contract", target="D", argument=fm.Not(Q)),
-            dynamics.MentalOp("upgrade", target="P", argument=Q),
-        ))
-        got = op.apply(m, pl.EMPTY_LIBRARY)
-        step1 = dynamics.contract(m, "D", fm.Not(Q))
-        step2 = dynamics.upgrade(step1, "P", Q)
-        assert got == step2
-
-    def test_describe(self):
-        op = dynamics.MentalOp("upgrade", target="P", argument=P)
-        assert op.describe() == "upgrade P p"
-
-
 class TestGraphAnnounce:
     def test_announcing_top_normalizes_knowledge_only(self):
         ag = running_program()
@@ -350,7 +326,7 @@ class TestGraphContract:
     def test_contract_by_falsum_round_trips(self):
         ag = running_program()
         lib = running_library()
-        got = dynamics.graph_contract(ag, "B", BOT, lib)
+        got = dynamics.graph_contract(ag, "B", BOT)
         graph_side = pg.induce_program(got, lib, check_intentions=False)
         model_side = dynamics.contract(pg.induce_program(ag, lib), "P", BOT)
         assert models_isomorphic(graph_side, model_side)
@@ -358,7 +334,7 @@ class TestGraphContract:
     def test_contracting_belief_breaks_it(self):
         ag = running_program()
         lib = running_library()
-        got = dynamics.graph_contract(ag, "B", Q, lib)
+        got = dynamics.graph_contract(ag, "B", Q)
         m = pg.induce_program(got, lib, check_intentions=False)
         assert not checker.holds(m, lib, fm.Bel(Q, TOP))
         assert (m.plausibility.min_set(m.worlds)
@@ -371,18 +347,78 @@ class TestGraphContract:
         lib = running_library()
         before = pg.induce_program(ag, lib)
         assert checker.holds(before, lib, fm.Goal(P, TOP))
-        got = dynamics.graph_contract(ag, "D", P, lib)
+        got = dynamics.graph_contract(ag, "D", P)
         after = pg.induce_program(got, lib, check_intentions=False)
         assert not checker.holds(after, lib, fm.Goal(P, TOP))
         model_side = dynamics.contract(before, "D", P)
         assert models_isomorphic(after, model_side)
 
+    @settings(max_examples=150)
+    @given(gen.priority_graphs(), gen.priority_graphs(),
+           st.lists(gen.prop_formulas(max_depth=2), max_size=2),
+           gen.prop_formulas(max_depth=2))
+    def test_commutes_with_model_contraction(self, beliefs, desires,
+                                             knowledge, phi):
+        ag = pg.AgentProgram(gen.ATOMS, tuple(knowledge), beliefs, desires,
+                             frozenset())
+        assume(ag.universe[0])
+        m = pg.induce_program(ag, pl.EMPTY_LIBRARY)
+        for target, tag in (("B", "P"), ("D", "D")):
+            got = pg.induce_program(dynamics.graph_contract(ag, target, phi),
+                                    pl.EMPTY_LIBRARY)
+            assert got == dynamics.contract(m, tag, phi)
+
+    @pytest.mark.parametrize("program", [ranked_program, few_node_program,
+                                         pareto_program])
+    def test_commutes_at_twelve_atoms(self, program):
+        # each verdict is bound to a name first, so that a failure does not
+        # render two 4 096-world models
+        ag = program(12)
+        m = pg.induce_program(ag, pl.EMPTY_LIBRARY)
+        for phi in (fm.Atom("a0"), fm.parse("~a1 | a11")):
+            for target, tag in (("B", "P"), ("D", "D")):
+                got = pg.induce_program(dynamics.graph_contract(ag, target, phi),
+                                        pl.EMPTY_LIBRARY)
+                same = got == dynamics.contract(m, tag, phi)
+                assert same, f"{target} contracted by {fm.render(phi)}"
+
+    def test_weakens_nodes_without_inducing_the_program(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("graph_contract left the graph level")
+
+        monkeypatch.setattr(pg, "induce_program", forbidden)
+        monkeypatch.setattr(pg, "extract_graph", forbidden)
+        monkeypatch.setattr(dynamics, "contract", forbidden)
+        for ag in (running_program(), ranked_program(8), pareto_program(8)):
+            for target, field in (("B", "beliefs"), ("D", "desires")):
+                g = getattr(ag, field)
+                contracted = dynamics.graph_contract(ag, target, fm.Atom(ag.atoms[0]))
+                got = getattr(contracted, field)
+                assert len(got.nodes) == len(g.nodes)
+                assert got.prec == g.prec
+
+    def test_fifty_contractions_round_trip(self):
+        ag = ranked_program(10)
+        m = pg.induce_program(ag, pl.EMPTY_LIBRARY)
+        for k in range(50):
+            phi = fm.Atom(f"a{k % 10}")
+            if k % 3:
+                phi = fm.Not(phi)
+            target, tag = (("B", "P"), ("D", "D"))[k % 2]
+            ag = dynamics.graph_contract(ag, target, phi)
+            m = dynamics.contract(m, tag, phi)
+        doc = pg.dump_program(ag)
+        reloaded = pg.load_program(doc)
+        assert pg.dump_program(reloaded) == doc
+        same = pg.induce_program(reloaded, pl.EMPTY_LIBRARY) == m
+        assert same, "50 graph contractions disagree with 50 model contractions"
+
     def test_ranked_belief_contraction_stays_program_sized(self):
-        # the contracted order is total, with 2^10 - 1 tie classes, so it
-        # extracts as 10 rank-bit nodes, not one node per class
+        # weakening keeps every node and edge, so the contracted graph has
+        # the program's 10 ranked nodes
         ag = ranked_program(10)
         a0 = fm.Atom("a0")
-        got = dynamics.graph_contract(ag, "B", a0, pl.EMPTY_LIBRARY)
+        got = dynamics.graph_contract(ag, "B", a0)
         assert len(got.beliefs.nodes) == 10
         assert got.beliefs.prec == frozenset(
             (i, j) for i in range(10) for j in range(i + 1, 10))
@@ -395,8 +431,8 @@ class TestGraphContract:
 
     def test_pareto_belief_contraction_stays_program_sized(self):
         # the belief order is not total: it extracts as its 11 atoms, its
-        # meet-irreducible down-sets, not as all 2^11 distinct down-sets,
-        # and its contraction by a0 has as many irreducible down-sets
+        # meet-irreducible down-sets, not as all 2^11 distinct down-sets;
+        # its contraction by a0 weakens those 11 nodes and adds none
         ag = pareto_program(11)
         m = pg.induce_program(ag, pl.EMPTY_LIBRARY)
         beliefs = pg.extract_graph(m, "P")
@@ -404,7 +440,7 @@ class TestGraphContract:
             f"a{i}" for i in range(11))
         assert beliefs.prec == frozenset()
         a0 = fm.Atom("a0")
-        got = dynamics.graph_contract(ag, "B", a0, pl.EMPTY_LIBRARY)
+        got = dynamics.graph_contract(ag, "B", a0)
         assert len(got.beliefs.nodes) == 11
         assert got.desires == ag.desires
         graph_side = pg.induce_program(got, pl.EMPTY_LIBRARY)
@@ -468,6 +504,14 @@ class TestReviseDrop:
                              pg.make_graph([P]), frozenset())
         got = dynamics.revise_drop(ag, P, running_library())
         assert got.intentions == frozenset()
+
+    def test_never_extracts(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("revise_drop extracted a graph")
+
+        monkeypatch.setattr(pg, "extract_graph", forbidden)
+        got = dynamics.revise_drop(ranked_program(6), fm.Atom("a1"), pl.EMPTY_LIBRARY)
+        assert len(got.desires.nodes) == len(ranked_program(6).desires.nodes)
 
     def test_commutes_with_model_level_composition(self):
         rng = random.Random(23)
