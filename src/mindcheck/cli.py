@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import itemgetter
 from typing import Callable, Optional, Union
 
 from . import checker, dynamics, formulas as fm, models as md
@@ -136,6 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_json(path: str) -> dict:
+    """Decode a JSON file with the cyclic garbage collector paused: decoded
+    JSON holds no reference cycles, so a collection while json.load builds
+    the document would only walk the containers just built."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -143,6 +150,9 @@ def _read_json(path: str) -> dict:
         raise CliError("file-error", f"{path}: {exc.strerror}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError("file-error", f"{path}: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _load_library(args) -> pl.PlanLibrary:
@@ -168,10 +178,10 @@ def _dump_json(doc: dict) -> str:
     json.dumps falls back to its pure-Python encoder whenever an indent is
     given. This writer keeps that layout but renders a list of [int, int]
     pairs, where nearly all of a model document's bytes sit, with a single
-    str.format call over one template per pair, and a list of world
-    entries ({"id", "true_atoms"}) from one template per entry. Pieces are
-    gathered in one list and joined once, so large values are not copied
-    at every level.
+    str.format call over one template per pair, and a list of model world
+    entries ({"id", "true_atoms"}) or of eval's per-world rows ({"bits",
+    "holds", "id"}) from one template per item. Pieces are gathered in one
+    list and joined once, so large values are not copied at every level.
     """
     out: list[str] = []
     _write(doc, "\n", out)
@@ -212,15 +222,24 @@ def _write(v, nl: str, out: list[str]) -> None:
             body = ("," + inner).join([pair] * len(v))
             out += ("[" + inner, body.format(*chain.from_iterable(v)), nl + "]")
             return
-        if _world_entries(v):
-            item = inner + "  "
+        item = inner + "  "
+        entries = _world_entries(v)
+        if entries:
             head = "{" + item + '"id": %d,' + item + '"true_atoms": '
             atom_sep = "," + item + "  "
-            entries = [head % e["id"]
-                       + ("[" + atom_sep[1:] + atom_sep.join(map(_encode_str, e["true_atoms"]))
-                          + item + "]" if e["true_atoms"] else "[]")
-                       + inner + "}" for e in v]
-            out += ("[" + inner, ("," + inner).join(entries), nl + "]")
+            out += ("[" + inner, ("," + inner).join([
+                head % w + ("[" + atom_sep[1:] + atom_sep.join(map(_encode_str, atoms))
+                            + item + "]" if atoms else "[]") + inner + "}"
+                for w, atoms in zip(*entries)]), nl + "]")
+            return
+        rows = _eval_rows(v)
+        if rows:
+            row = ("{" + item + '"bits": %s,' + item + '"holds": %s,' + item + '"id": %d'
+                   + inner + "}")
+            bits, holds, ids = rows
+            out += ("[" + inner, ("," + inner).join([
+                row % r for r in zip(map(_encode_str, bits),
+                                     map(_JSON_BOOL.__getitem__, holds), ids)]), nl + "]")
             return
         sep = "[" + inner
         for x in v:
@@ -238,18 +257,40 @@ def _int_pairs(v) -> bool:
             and set(map(type, chain.from_iterable(v))) == {int})
 
 
-_ENTRY_KEYS = {"id", "true_atoms"}
+_JSON_BOOL = {True: "true", False: "false"}
 
 
-def _world_entries(v) -> bool:
-    """Whether every item of v is a model document's world entry: a dict
-    with exactly the keys "id", an int (bools excluded), and "true_atoms",
-    a list of strings."""
-    return (set(map(type, v)) == {dict}
-            and all(e.keys() == _ENTRY_KEYS and type(e["id"]) is int
-                    and type(e["true_atoms"]) is list
-                    and all(type(a) is str for a in e["true_atoms"])
-                    for e in v))
+def _columns(v, keys: tuple[str, ...], types: tuple[type, ...]) -> Optional[list[list]]:
+    """The columns of the non-empty list v, one list of values per key,
+    when every item is a dict with exactly these keys and each key's
+    values have exactly its type (bools are no ints); else None. Each test
+    is one pass over the whole list."""
+    if set(map(type, v)) != {dict} or set(map(len, v)) != {len(keys)}:
+        return None
+    try:
+        cols = [list(map(itemgetter(k), v)) for k in keys]
+    except KeyError:
+        return None
+    if all(set(map(type, c)) == {t} for c, t in zip(cols, types)):
+        return cols
+    return None
+
+
+def _world_entries(v) -> Optional[list[list]]:
+    """The id and true_atoms columns of v when every item is a model
+    document's world entry: a dict with exactly the keys "id", an int,
+    and "true_atoms", a list of strings."""
+    cols = _columns(v, ("id", "true_atoms"), (int, list))
+    if cols and set(map(type, chain.from_iterable(cols[1]))) <= {str}:
+        return cols
+    return None
+
+
+def _eval_rows(v) -> Optional[list[list]]:
+    """The bits, holds and id columns of v when every item is one of
+    eval's per-world rows: a dict with exactly the keys "bits", a string,
+    "holds", a bool, and "id", an int."""
+    return _columns(v, ("bits", "holds", "id"), (str, bool, int))
 
 
 def _write_out(args, text: str) -> None:

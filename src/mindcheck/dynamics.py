@@ -132,11 +132,11 @@ def graph_contract(ag: pg.AgentProgram, target: str,
 
     chi is the reduced decision tree of low. A program's world id is its
     valuation code, declared atom i at bit i, so low is already the truth
-    table over the atoms in reverse declared order. Each contraction adds
-    one chi to the end of every node's | chain: the parenthesis depth stays
-    that of the deepest chi, but the text grows by one chi per node. Over
-    50 contractions the 10-atom ranked program grows from 1.2 KB to 47 KB,
-    at depth 8.
+    table over the atoms in reverse declared order. A node that already
+    holds on all of low is left as it is, since n | chi has n's extension;
+    every other node gains one chi at the end of its | chain. Over 50
+    contractions the 10-atom ranked program's dump_program JSON grows from
+    624 to 1 309 bytes (to 47 324 when every node gains a chi).
     """
     if target not in ("B", "D"):
         raise pg.ProgramError("bad-target", f"graph_contract target {target!r}")
@@ -150,7 +150,9 @@ def graph_contract(ag: pg.AgentProgram, target: str,
     counter = worlds & ~md.satisfying_worlds(phi, worlds, valuation)
     low = order.min_set(worlds) | order.min_set(counter)
     chi = pg._decision_trees(ag.atoms[::-1])(low)
-    weakened = pg.PriorityGraph(tuple(fm.Or(n, chi) for n in g.nodes), g.prec)
+    weakened = pg.PriorityGraph(
+        tuple(fm.Or(n, chi) if low & ~md.satisfying_worlds(n, worlds, valuation) else n
+              for n in g.nodes), g.prec)
     return dataclasses.replace(ag, **{field: weakened})
 
 

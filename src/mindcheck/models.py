@@ -10,8 +10,12 @@ to the mask of the worlds that have it, and a member's strict down row is
 its class's row less the class. Every attitude is read from what lies
 below a world, so nothing else is kept, and readers take a class at a
 time. Each order comes from the one Preorder constructor, which takes the
-class map as it is. Loading closes the reversed generator pairs in one
-pass whose components are the classes. Induction from a priority graph
+class map as it is. Loading reads each document field in one checked
+pass that builds its result as it goes: the world entries set each
+world's bit in the world and atom masks, and each relation sets one bit
+of a down row per generator pair whose ends it has checked are world
+ids. One closure pass over those rows then gives the classes, as its
+components. Induction from a priority graph
 emits one class per node signature, since worlds tie exactly when they
 satisfy the same graph nodes (Andreka, Ryan & Schobbens 2002).
 Restriction masks each class, upgrade splits each class at the argument's
@@ -184,8 +188,8 @@ class Preorder:
     map as it is and does not force the invariants (non-empty, disjoint
     classes covering the carrier, each inside its row): validate() reports
     the first reflexivity or transitivity violation. from_pairs, identity,
-    total and restrict build through it, and so do induction and the
-    dynamic rewrites. Minima, the reduction, equality and hashing read the
+    total and restrict build through it, and so do loading, induction and
+    the dynamic rewrites. Minima, the reduction, equality and hashing read the
     classes; down_rows, le, lt, pairs, strict_pairs and validate are
     per-world views for readers outside the engine. The _up property is a
     shim for the benchmark's tracer only.
@@ -348,8 +352,9 @@ class Preorder:
         return hash((self.carrier, frozenset(self.classes.items())))
 
     def __repr__(self):
-        nonrefl = sorted((w, u) for (w, u) in self.pairs if w != u)
-        return f"Preorder({ids(self.carrier)}, {nonrefl})"
+        # sizes only: listing pairs is O(W^2), too long for a failing test report
+        return (f"Preorder({self.carrier.bit_count()} worlds, "
+                f"{len(self.classes)} classes)")
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +447,11 @@ def load_model(doc: dict) -> AgentModel:
     desirability as generator pair lists (closed reflexively-transitively
     here), and an optional intentions list. World ids must lie below
     2**MAX_PROGRAM_ATOMS; a larger one is rejected before any mask is built.
+    Each field is read in one pass that checks each item and builds the
+    masks and down rows as it goes. Faults are reported field by field:
+    atoms, worlds, plausibility, desirability, intentions. Within a
+    relation a malformed pair is named before any pair that leaves the
+    carrier.
     """
     try:
         atoms = tuple(_names(doc["atoms"], "atoms"))
@@ -454,10 +464,12 @@ def load_model(doc: dict) -> AgentModel:
         raise ModelError("duplicate atom names")
     for a in atoms:
         fm.Atom(a)  # name check
-    worlds: set[WorldId] = set()
-    truths: dict[str, set[WorldId]] = {a: set() for a in atoms}
     if not isinstance(world_docs, list):
         raise ModelError(f"worlds must be a list of world entries, got {world_docs!r}")
+    # one bit per id a document may use, set byte by byte: ORing bits into
+    # int masks would copy a mask per world, quadratic at 2**16 worlds
+    seen = bytearray(1 << MAX_PROGRAM_ATOMS - 3)
+    truths = {a: bytearray(len(seen)) for a in atoms}
     for wd in world_docs:
         if not isinstance(wd, dict) or "id" not in wd:
             raise ModelError(f"world entry must be an object with an id, got {wd!r}")
@@ -467,9 +479,10 @@ def load_model(doc: dict) -> AgentModel:
         if w >> MAX_PROGRAM_ATOMS:
             raise ModelError(f"world id {w} is not below 2**{MAX_PROGRAM_ATOMS} "
                              f"= {1 << MAX_PROGRAM_ATOMS}")
-        if w in worlds:
+        byte, bit = w >> 3, 1 << (w & 7)
+        if seen[byte] & bit:
             raise ModelError(f"duplicate world id {w}")
-        worlds.add(w)
+        seen[byte] |= bit
         true_atoms = wd.get("true_atoms", [])
         if not isinstance(true_atoms, list):
             raise ModelError(f"world {w}: true_atoms must be a list of atoms, "
@@ -477,13 +490,14 @@ def load_model(doc: dict) -> AgentModel:
         for a in true_atoms:
             if not isinstance(a, str) or a not in truths:
                 raise ModelError(f"world {w} lists unknown atom {a!r}")
-            truths[a].add(w)
-    wset = mask(worlds)
-    val = {a: mask(ws) for a, ws in truths.items()}
-    plaus = Preorder.from_pairs(wset, _checked_pairs(p_pairs, "plausibility"))
-    des = Preorder.from_pairs(wset, _checked_pairs(d_pairs, "desirability"))
+            truths[a][byte] |= bit
+    worlds = int.from_bytes(seen, "little")
+    valuation = {a: int.from_bytes(b, "little") for a, b in truths.items()}
+    order = ids(worlds)
+    plaus = Preorder(worlds, _closure(_down_rows(p_pairs, "plausibility", order)))
+    des = Preorder(worlds, _closure(_down_rows(d_pairs, "desirability", order)))
     intentions = frozenset(_names(doc.get("intentions", []), "intentions"))
-    return AgentModel(atoms, wset, plaus, des, val, intentions)
+    return AgentModel(atoms, worlds, plaus, des, valuation, intentions)
 
 
 def _names(value, field: str) -> list:
@@ -493,22 +507,37 @@ def _names(value, field: str) -> list:
     return value
 
 
-def _checked_pairs(pairs, field: str) -> list:
-    """A relation field, once it is known to list pairs [w, u] of ints.
+def _down_rows(pairs, field: str, order: list[WorldId]) -> dict[WorldId, int]:
+    """A relation field's generator pairs [w, u] as down rows: per world u
+    of order (the world ids, ascending), the mask of the w it lists.
 
-    The test runs over the whole list at C speed; only a rejected list is
-    searched again for the first pair to name in the error. An int that is
-    no world id, negative ones included, is left to from_pairs, which
-    reports the pair as leaving the carrier.
+    One pass checks each pair, a list of two ints (bools excluded) whose
+    ends are both world ids, and sets bit w of u's row. Only a rejected
+    list is searched again, to name its first malformed pair, or failing
+    that its first pair with an end outside the carrier, negative ints
+    included.
     """
     if not isinstance(pairs, list):
         raise ModelError(f"{field} must be a list of pairs, got {pairs!r}")
-    if (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
-            and set(map(type, chain.from_iterable(pairs))) <= {int}):
-        return pairs
-    bad = next(p for p in pairs if not (
-        type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is int))
-    raise ModelError(f"{field} pair {bad!r} is not two world ids")
+    down = dict.fromkeys(order, 0)
+    try:
+        for p in pairs:
+            if type(p) is list:
+                w, u = p
+                if type(w) is type(u) is int and w in down:
+                    down[u] |= 1 << w  # KeyError: u is no world id
+                    continue
+            break
+        else:
+            return down
+    except (KeyError, ValueError):  # ValueError: not two items
+        pass
+    bad = next((p for p in pairs if not (
+        type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is int)), None)
+    if bad is not None:
+        raise ModelError(f"{field} pair {bad!r} is not two world ids")
+    w, u = next((w, u) for w, u in pairs if w not in down or u not in down)
+    raise ModelError(f"relation pair ({w},{u}) leaves the carrier")
 
 
 def sorted_worlds(m: AgentModel) -> list[WorldId]:

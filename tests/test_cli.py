@@ -401,6 +401,15 @@ class TestDumpJson:
         [{"id": True, "true_atoms": []}], [{"id": 1, "true_atoms": ["p"], "z": 0}],
         [{"id": 1, "true_atoms": [1]}], [{"id": 1, "true_atoms": "p"}],
         [{"id": 1, "true_atoms": ["p"]}, [0, 1]], [{"id": 2**70, "true_atoms": [""]}],
+        [{"id": 1, "true_atoms": ["p"]}, {"id": 2, "true_atoms": ["q", 7]}],
+        [{"id": 1, "true_atoms": []}, {"id": 2}], [{"id": 1, "atoms": []}],
+        # eval's per-world rows, which have their own template, and near misses
+        {"worlds": [{"bits": "01", "holds": True, "id": 2}, {"bits": "", "holds": False, "id": 0}]},
+        [{"bits": "\u2028\"", "holds": False, "id": -2**70}],
+        [{"bits": "01", "holds": True, "id": True}], [{"bits": "01", "holds": 1, "id": 1}],
+        [{"bits": "01", "holds": True, "id": 1, "x": None}], [{"bits": 1, "holds": True, "id": 1}],
+        [{"bits": "01", "holds": True, "id": 1}, {"bits": "10", "holds": None, "id": 2}],
+        [{"bits": "01", "holds": True, "idx": 1}], [{"bits": "1", "holds": True, "id": 1.0}],
     ])
     def test_edge_cases(self, value):
         assert cli._dump_json(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -10,10 +10,11 @@ from mindcheck import cli, dynamics
 from mindcheck import formulas as fm
 from mindcheck import models as md
 from mindcheck import pgraph as pg
+from mindcheck import plans as pl
 
 import oracles
 import strategies as gen
-from common import assert_class_map, world_mask, world_set
+from common import assert_class_map, ranked_program, world_mask, world_set
 
 
 def chain(*ids):
@@ -800,6 +801,101 @@ class TestDownFirstLoad:
             assert order == built and built == order
             assert hash(order) == hash(built)
             assert dict(order.down_rows(strict=True)) == dict(built.down_rows(strict=True))
+
+
+@st.composite
+def valued_documents(draw):
+    """Well-formed model documents over three atoms: world entries in any
+    order, up to the highest id a document may use, each with its true
+    atoms in any order, and relations whose pairs come unsorted, with
+    duplicates and self-pairs."""
+    ids = draw(st.lists(st.integers(0, 700) | st.sampled_from([65_528, 65_534, 65_535]),
+                        unique=True, max_size=16))
+    atoms = ["p", "q", "r"]
+    worlds = [{"id": w, "true_atoms": draw(st.permutations(
+        draw(st.lists(st.sampled_from(atoms), unique=True))))} for w in ids]
+    for entry in worlds:
+        if not entry["true_atoms"] and draw(st.booleans()):
+            del entry["true_atoms"]  # an entry may leave its true atoms out
+
+    def relation():
+        if not ids:
+            return []
+        pairs = draw(st.lists(st.lists(st.sampled_from(ids), min_size=2, max_size=2),
+                              max_size=3 * len(ids)))
+        pairs += [[w, w] for w in draw(st.lists(st.sampled_from(ids), max_size=3))]
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+        return draw(st.permutations(pairs))
+
+    return {"atoms": atoms, "worlds": worlds, "plausibility": relation(),
+            "desirability": relation()}
+
+
+class TestOnePassLoad:
+    """load_model reads each field in one checked pass; it must build what
+    Preorder.from_pairs and per-atom id sets build from the same document."""
+
+    @settings(max_examples=200)
+    @given(valued_documents())
+    def test_equals_from_pairs_and_atom_sets(self, doc):
+        m = md.load_model(doc)
+        worlds = world_mask(e["id"] for e in doc["worlds"])
+        assert m.worlds == worlds
+        assert m.valuation == {a: world_mask(e["id"] for e in doc["worlds"]
+                                             if a in e.get("true_atoms", []))
+                               for a in doc["atoms"]}
+        for tag, field in (("P", "plausibility"), ("D", "desirability")):
+            pairs = [tuple(p) for p in doc[field]]
+            assert m.order(tag) == md.Preorder.from_pairs(worlds, pairs)
+            assert m.order(tag).pairs == warshall(world_set(worlds), pairs)
+
+    @pytest.mark.parametrize("pair", [[9, 0], [0, 9], [65_535, 1], [2**70, 1], [-1, 2]])
+    def test_either_end_off_the_carrier(self, pair):
+        doc = dict(TestModelDocuments.DOC, desirability=[[1, 2], pair, [3, 3]])
+        with pytest.raises(md.ModelError, match=rf"^relation pair \({pair[0]},{pair[1]}\) leaves"):
+            md.load_model(doc)
+
+
+class TestFaultPrecedence:
+    """A document with two faults reports the one in the earlier field, and
+    within one relation a malformed pair before a pair off the carrier."""
+
+    DOC = TestModelDocuments.DOC
+
+    @pytest.mark.parametrize("changes, message", [
+        # a world fault and a relation fault
+        ({"worlds": [{"id": 0}, {"id": 0}], "plausibility": [[0, "1"]]},
+         "duplicate world id 0"),
+        ({"worlds": [{"id": 0, "true_atoms": ["z"]}], "desirability": [[0, 9]]},
+         "world 0 lists unknown atom 'z'"),
+        # a plausibility fault and a desirability fault
+        ({"plausibility": [[0, 9]], "desirability": [[0, True]]},
+         r"relation pair \(0,9\) leaves the carrier"),
+        ({"plausibility": [[0, 1, 2]], "desirability": "01"},
+         r"plausibility pair \[0, 1, 2\] is not two world ids"),
+        ({"plausibility": [[1, 0]], "desirability": [[-1, 0]],
+          "intentions": [1]}, r"relation pair \(-1,0\) leaves the carrier"),
+        # a carrier fault before a shape fault in one relation
+        ({"plausibility": [[0, 9], [1, 2], [0, 1.0], [7, 7]]},
+         r"plausibility pair \[0, 1.0\] is not two world ids"),
+        ({"plausibility": [[-1, 0], [True, 0]]},
+         r"plausibility pair \[True, 0\] is not two world ids"),
+        # two carrier faults, two shape faults: the first of each is named
+        ({"desirability": [[1, 2], [5, 0], [0, 6]]},
+         r"relation pair \(5,0\) leaves the carrier"),
+        ({"desirability": [[1, 2], [0], [0, None]]},
+         r"desirability pair \[0\] is not two world ids"),
+    ])
+    def test_which_fault_is_reported(self, changes, message):
+        with pytest.raises(md.ModelError, match=f"^{message}$"):
+            md.load_model(dict(self.DOC, **changes))
+
+
+class TestRepr:
+    def test_ranked_twelve_atom_order_repr_is_short(self):
+        order = pg.induce_program(ranked_program(12), pl.EMPTY_LIBRARY).plausibility
+        assert len(order.classes) == 4096
+        assert repr(order) == "Preorder(4096 worlds, 4096 classes)"
 
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
