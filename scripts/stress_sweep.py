@@ -24,7 +24,9 @@ from mindcheck import models as md
 from mindcheck import pgraph as pg
 
 import generators as gen
+from common import pairs_of, world_set
 from generators import models_isomorphic as isomorphic
+from oracles import closure
 
 
 def sweep_preservation(rng, count, n_atoms):
@@ -39,8 +41,8 @@ def sweep_preservation(rng, count, n_atoms):
             outputs.append(dynamics.contract(m, tag, phi))
         outputs += [dynamics.product_update(m, lib, n) for n in sorted(lib.plans)]
         bad += sum(
-            o.plausibility.validate() is not None
-            or o.desirability.validate() is not None
+            any(pairs_of(order) != closure(world_set(order.carrier), pairs_of(order))
+                for order in (o.plausibility, o.desirability))
             for o in outputs
         )
     return bad

@@ -13,8 +13,7 @@ from .formulas import (
     ParseError, desugar, is_propositional, parse, render,
 )
 from .models import (
-    AgentModel, ModelError, Preorder,
-    Violation, dump_model, load_model, satisfying_worlds,
+    AgentModel, ModelError, Preorder, dump_model, load_model, satisfying_worlds,
 )
 from .plans import (
     Plan, PlanFailure, PlanLibrary, check_p_consistency, dump_library,

@@ -24,7 +24,7 @@ prefix modalities bind tighter than any binary connective):
     primary   = "T" | "F" | atom | "(" formula ")"
               | ("B"|"G"|"AdmInt"|"Int") "(" formula ["|" formula] ")"
               | "I" "(" plan ")"
-    atom      = [a-z][a-zA-Z0-9_]*      (plan symbols share this lexical class)
+    atom      = [a-z][a-zA-Z0-9_]*, not a keyword  (plan symbols share this class)
 
 Inside B(...), G(...), AdmInt(...) and Int(...) a top-level "|" separates the
 consequent from the condition; write "B((a | b))" for a disjunctive consequent.
@@ -68,7 +68,7 @@ class Atom:
     name: str
 
     def __post_init__(self):
-        if not _ATOM_RE.match(self.name):
+        if not _ATOM_RE.match(self.name) or self.name in _KEYWORDS:
             raise FormulaError(f"bad atom name {self.name!r}")
 
 

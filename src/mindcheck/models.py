@@ -9,18 +9,19 @@ below them) are equal, so an order is one map from each distinct down row
 to the mask of the worlds that have it, and a member's strict down row is
 its class's row less the class. Every attitude is read from what lies
 below a world, so nothing else is kept, and readers take a class at a
-time. Each order comes from the one Preorder constructor, which takes the
-class map as it is. Loading reads each document field in one checked
-pass that builds its result as it goes: the world entries set each
-world's bit in the world and atom masks, and each relation sets one bit
-of a down row per generator pair whose ends it has checked are world
+time. Each order comes from the one Preorder constructor, which trusts
+the class map it is given. Loading reads each document field in one
+checked pass that builds its result as it goes: the world entries set
+each world's bit in the world and atom masks, and each relation sets one
+bit of a down row per generator pair whose ends it has checked are world
 ids. One closure pass over those rows then gives the classes, as its
-components. Induction from a priority graph
-emits one class per node signature, since worlds tie exactly when they
-satisfy the same graph nodes (Andreka, Ryan & Schobbens 2002).
-Restriction masks each class, upgrade splits each class at the argument's
-worlds, contraction merges the promoted minima into one class, and the
-reduction a document is written from reads one row per class.
+components; Preorder.from_pairs builds through the same two passes.
+Induction from a priority graph emits one class per node signature, since
+worlds tie exactly when they satisfy the same graph nodes (Andreka, Ryan &
+Schobbens 2002). Restriction masks each class, upgrade splits each class
+at the argument's worlds, contraction merges the promoted minima into one
+class, and the reduction a document is written from reads one row per
+class.
 
 Preorder._up closes the reduction's pairs into up rows on every read. The
 engine never reads it: it serves the benchmark's tracer, which counts
@@ -32,9 +33,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, compress
+from itertools import compress
 from operator import or_
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import formulas as fm
 
@@ -50,20 +51,6 @@ class ModelError(Exception):
 
 class UnknownAtomError(ModelError):
     pass
-
-
-@dataclass(frozen=True)
-class Violation:
-    """First reflexivity or transitivity failure found by Preorder.validate."""
-
-    kind: str  # "reflexivity" | "transitivity"
-    witness: tuple[WorldId, ...]
-
-    def __str__(self):
-        if self.kind == "reflexivity":
-            return f"missing reflexive pair for world {self.witness[0]}"
-        w, u, x = self.witness
-        return f"missing transitive pair ({w},{x}) implied by ({w},{u}),({u},{x})"
 
 
 def mask(worlds: Iterable[WorldId]) -> int:
@@ -177,22 +164,20 @@ def _closure(rows: dict[WorldId, int]) -> dict[int, int]:
 
 
 class Preorder:
-    """A binary relation over a finite carrier, intended reflexive+transitive.
+    """A reflexive, transitive relation over a finite carrier, held as its
+    tie classes.
 
-    Values are immutable once built. The carrier is a world mask, and the
-    order is held as its tie classes: classes maps each distinct down row
-    (the u with u <= w, for the class's members w) to the mask of the
-    worlds that have it. Worlds tie exactly when their down rows are equal,
-    so the map is canonical, and a member's strict down row (the u with
-    u < w) is its class's row less the class. The one constructor takes the
-    map as it is and does not force the invariants (non-empty, disjoint
-    classes covering the carrier, each inside its row): validate() reports
-    the first reflexivity or transitivity violation. from_pairs, identity,
-    total and restrict build through it, and so do loading, induction and
-    the dynamic rewrites. Minima, the reduction, equality and hashing read the
-    classes; down_rows, le, lt, pairs, strict_pairs and validate are
-    per-world views for readers outside the engine. The _up property is a
-    shim for the benchmark's tracer only.
+    Values are immutable once built. The carrier is a world mask, and
+    classes maps each distinct down row (the u with u <= w, for the class's
+    members w) to the mask of the worlds that have it. Worlds tie exactly
+    when their down rows are equal, so the map is canonical, and a member's
+    strict down row (the u with u < w) is its class's row less the class.
+    The one constructor trusts its class map: non-empty, disjoint classes
+    that cover the carrier, each inside its own row, with closed rows.
+    from_pairs and restrict build through it, and so do loading, induction
+    and the dynamic rewrites. Minima, the reduction, equality and hashing
+    read the classes. The _up property is a shim for the benchmark's tracer
+    only.
     """
 
     __slots__ = ("carrier", "classes")
@@ -206,29 +191,11 @@ class Preorder:
 
     @classmethod
     def from_pairs(cls, carrier: int,
-                   pairs: Iterable[tuple[WorldId, WorldId]]) -> "Preorder":
-        """The order generated by pairs (w, u), read w <= u.
-
-        Each pair sets bit w of u's down row, and one closure pass over
-        those rows gives the classes. No pair end outside the carrier is
-        ever shifted into a mask.
-        """
-        pairs = list(pairs)
-        down = dict.fromkeys(ids(carrier), 0)
-        if not set(chain.from_iterable(pairs)) <= down.keys():
-            w, u = next((w, u) for w, u in pairs if w not in down or u not in down)
-            raise ModelError(f"relation pair ({w},{u}) leaves the carrier")
-        for w, u in pairs:
-            down[u] |= 1 << w
+                   pairs: Iterable[Sequence[WorldId]]) -> "Preorder":
+        """The order generated by pairs (w, u), read w <= u: the down rows
+        of load_model's checked relation pass, closed in one pass."""
+        down = _down_rows(list(map(list, pairs)), "relation", ids(carrier))
         return cls(carrier, _closure(down))
-
-    @classmethod
-    def identity(cls, carrier: int) -> "Preorder":
-        return cls(carrier, {1 << w: 1 << w for w in iter_ids(carrier)})
-
-    @classmethod
-    def total(cls, carrier: int) -> "Preorder":
-        return cls(carrier, {carrier: carrier} if carrier else {})
 
     @property
     def _up(self) -> dict[WorldId, int]:
@@ -239,30 +206,6 @@ class Preorder:
         for w, u in self.reduction_pairs():
             up[w] |= 1 << u
         return {w: row for row, tie in _closure(up).items() for w in iter_ids(tie)}
-
-    def down_rows(self, strict: bool = False) -> dict[WorldId, int]:
-        """Per world w, the mask of all u with u <= w (u < w if strict),
-        spread from the classes into a new dict on every call."""
-        return {w: row & ~tie if strict else row
-                for row, tie in self.classes.items() for w in iter_ids(tie)}
-
-    def le(self, w: WorldId, u: WorldId) -> bool:
-        return any(tie >> u & 1 and row >> w & 1 for row, tie in self.classes.items())
-
-    def lt(self, w: WorldId, u: WorldId) -> bool:
-        return any(tie >> u & 1 and (row & ~tie) >> w & 1
-                   for row, tie in self.classes.items())
-
-    @property
-    def pairs(self) -> frozenset[tuple[WorldId, WorldId]]:
-        return frozenset(
-            (w, u) for u, row in self.down_rows().items() for w in iter_ids(row)
-        )
-
-    def strict_pairs(self) -> frozenset[tuple[WorldId, WorldId]]:
-        """The strict part: all (w,u) with w <= u and not u <= w."""
-        rows = self.down_rows(strict=True)
-        return frozenset((w, u) for u, row in rows.items() for w in iter_ids(row))
 
     def reduction_pairs(self) -> list[list[WorldId]]:
         """The canonical transitive reduction, as ascending pairs [w, u].
@@ -326,23 +269,6 @@ class Preorder:
             raise ModelError(f"worlds {ids(keep & ~self.carrier)} outside carrier")
         return Preorder(keep, {row & keep: tie & keep
                                for row, tie in self.classes.items() if tie & keep})
-
-    def validate(self) -> Optional[Violation]:
-        """The first missing reflexive pair, else the first missing
-        transitive one: for x and u <= x in ascending order, the lowest w
-        in u's down row but not in x's."""
-        down = self.down_rows()
-        for w in sorted(down):
-            if not down[w] >> w & 1:
-                return Violation("reflexivity", (w,))
-        for x in sorted(down):
-            row = down[x]
-            for u in iter_ids(row):
-                missing = down[u] & ~row
-                if missing:
-                    w = (missing & -missing).bit_length() - 1
-                    return Violation("transitivity", (w, u, x))
-        return None
 
     def __eq__(self, other):
         return (isinstance(other, Preorder)
@@ -462,8 +388,11 @@ def load_model(doc: dict) -> AgentModel:
         raise ModelError(f"model document missing field: {exc}") from exc
     if len(set(atoms)) != len(atoms):
         raise ModelError("duplicate atom names")
-    for a in atoms:
-        fm.Atom(a)  # name check
+    try:
+        for a in atoms:
+            fm.Atom(a)  # name check
+    except fm.FormulaError as exc:
+        raise ModelError(str(exc)) from exc
     if not isinstance(world_docs, list):
         raise ModelError(f"worlds must be a list of world entries, got {world_docs!r}")
     # one bit per id a document may use, set byte by byte: ORing bits into

@@ -106,6 +106,10 @@ def load_library(doc: dict) -> PlanLibrary:
         if name in plans:
             raise LibraryError(f"duplicate plan symbol {name!r}")
         try:
+            fm.Atom(name)  # plan symbols share the atom names' class
+        except fm.FormulaError:
+            raise LibraryError(f"bad plan symbol {name!r}") from None
+        try:
             pre = fm.parse(pd["pre"])
             post = fm.parse(pd["post"])
         except fm.ParseError as exc:

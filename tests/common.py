@@ -4,10 +4,13 @@ Two atoms p, q; empty knowledge; beliefs prioritize q; desires prioritize p
 over q; one adopted plan alpha with trivial precondition achieving p.
 World ids are valuation masks: p is bit 0, q is bit 1.
 
-Also the ranked and Pareto n-atom programs of the scale sweep, and the
+Also the ranked and Pareto n-atom programs of the scale sweep, the
 converters between the engine's world masks (bit w for world w) and the
-frozensets of ids that tests/oracles.py works on.
+frozensets of ids that tests/oracles.py works on, and pairs_of, which reads
+an order's class map as the pair set the oracles take.
 """
+
+import re
 
 from mindcheck import formulas as fm
 from mindcheck import pgraph as pg
@@ -27,14 +30,20 @@ LIBRARY_DOC = {"plans": [{"name": "alpha", "pre": "T", "post": "p"}]}
 
 
 def world_set(mask: int) -> frozenset:
-    """The ids of a world mask, as the oracles take world sets; read from
-    its binary text, so far-flung ids cost one pass."""
-    return frozenset(w for w, c in enumerate(reversed(format(mask, "b"))) if c == "1")
+    """The ids of a world mask, as the oracles take world sets; found in
+    its binary text, so far-flung ids cost one pass in C, not in Python."""
+    return frozenset(m.start() for m in re.finditer("1", format(mask, "b")[::-1]))
 
 
 def world_mask(ids) -> int:
     """The world mask of some ids, as the engine takes world sets."""
     return sum(1 << w for w in set(ids))
+
+
+def pairs_of(order) -> frozenset:
+    """The pairs (w, u), read w <= u, of an order's class map."""
+    return frozenset((w, u) for row, tie in order.classes.items()
+                     for u in world_set(tie) for w in world_set(row))
 
 
 def assert_class_map(order, le):

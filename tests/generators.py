@@ -15,7 +15,7 @@ from mindcheck import models as md
 from mindcheck import pgraph as pg
 from mindcheck import plans as pl
 
-from common import world_mask
+from common import world_mask, world_set
 
 ATOMS = ("p", "q", "r", "s")
 
@@ -88,7 +88,7 @@ def random_injective_model(rng: random.Random, max_worlds=5) -> md.AgentModel:
         for i, a in enumerate(atoms)
     }
     order = random_preorder(rng, ids)
-    return md.AgentModel(atoms, worlds, order, md.Preorder.identity(worlds),
+    return md.AgentModel(atoms, worlds, order, md.Preorder.from_pairs(worlds, []),
                          valuation)
 
 
@@ -152,10 +152,13 @@ def models_isomorphic(a: md.AgentModel, b: md.AgentModel) -> bool:
     if amap.keys() != bmap.keys():
         return False
     sigma = {amap[bits]: bmap[bits] for bits in amap}
-    for order_a, order_b in ((a.plausibility, b.plausibility),
-                             (a.desirability, b.desirability)):
-        for w in a.bits_by_world:
-            for u in a.bits_by_world:
-                if order_a.le(w, u) != order_b.le(sigma[w], sigma[u]):
-                    return False
-    return a.intentions == b.intentions
+
+    def image(worlds):
+        return world_mask(map(sigma.__getitem__, world_set(worlds)))
+
+    # class maps are canonical, so the orders agree exactly when a's
+    # classes and rows, carried through sigma, are b's
+    return a.intentions == b.intentions and all(
+        {image(row): image(tie) for row, tie in order_a.classes.items()} == order_b.classes
+        for order_a, order_b in ((a.plausibility, b.plausibility),
+                                 (a.desirability, b.desirability)))

@@ -45,8 +45,9 @@ def test_tracer_counts_relation_pairs_and_preorder_builds(capsys):
 
     # loading counts each order's pairs, dumping each reduction's pairs
     loaded = md.load_model(json.loads(CHAIN_MODEL.read_text()))
-    load_pairs = sum(row.bit_count() for order in (loaded.plausibility, loaded.desirability)
-                     for row in order.down_rows().values())
+    load_pairs = sum(row.bit_count() * tie.bit_count()
+                     for order in (loaded.plausibility, loaded.desirability)
+                     for row, tie in order.classes.items())
     dump_pairs = len(induced["plausibility"]) + len(induced["desirability"])
     assert tracer.counts["models.relation_pairs"] == load_pairs + dump_pairs
     assert tracer.counts["models.preorder.calls"] > 0

@@ -230,6 +230,7 @@ class TestMalformedProgram:
         ("intentions_int", "bad-program", "I must"),
         ("atoms_string", "bad-program", "atoms must"),
         ("knowledge_string", "bad-program", "K must"),
+        ("keyword_atom", "bad-program", "bad atom name 'up_D'"),
     ])
     def test_reason_names_the_field(self, capsys, fixture, reason, field):
         code, out, err = run(capsys, "induce", "--program",
@@ -256,6 +257,7 @@ class TestMalformedLibrary:
         ("entry_int", "plan entry must be an object"),
         ("pre_int", "plan entry field 'pre' must be a string"),
         ("name_int", "plan entry field 'name' must be a string"),
+        ("keyword_plan", "bad plan symbol 'drop_P'"),
     ])
     def test_reason_names_the_field(self, capsys, fixture, field):
         code, out, err = run(capsys, "eval", "--program", fx("running_program.json"),
@@ -419,7 +421,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize("name", [
         "bare_world_model.json", "idless_world_model.json",
         "string_atom_list_model.json", "string_intentions_model.json",
-        "bool_id_model.json", "over_cap_id_model.json",
+        "bool_id_model.json", "over_cap_id_model.json", "keyword_atom_model.json",
     ])
     def test_malformed_model_is_model_error(self, capsys, name):
         code, out, err = run(capsys, "eval", "--model", fx(name),

@@ -219,6 +219,16 @@ class TestPredicates:
         with pytest.raises(fm.FormulaError):
             fm.Atom("")
 
+    @pytest.mark.parametrize("name", ["mu_P", "mu_D", "up_P", "up_D", "drop_P", "drop_D"])
+    def test_lowercase_keywords_are_no_atom_names(self, name):
+        with pytest.raises(fm.FormulaError, match="bad atom name"):
+            fm.Atom(name)
+
+    @pytest.mark.parametrize("name", ["mu_Px", "mu_p", "mu", "up", "up_Q", "drop_p",
+                                      "drop_DD", "t", "a_I"])
+    def test_near_keyword_atoms_round_trip(self, name):
+        assert fm.parse(fm.render(fm.Atom(name))) == fm.Atom(name)
+
     def test_dynmod_invariants(self):
         with pytest.raises(fm.FormulaError):
             fm.DynMod("announce", "P", fm.Atom("p"), fm.Atom("q"))

@@ -14,7 +14,7 @@ from mindcheck import plans as pl
 
 import oracles
 import strategies as gen
-from common import assert_class_map, ranked_program, world_mask, world_set
+from common import assert_class_map, pairs_of, ranked_program, world_mask, world_set
 
 
 def chain(*ids):
@@ -39,27 +39,27 @@ def full_two_atom_model():
     """All four pq valuations (id bits: p=1, q=2), identity orders."""
     worlds = 0b1111
     valuation = {"p": 0b1010, "q": 0b1100}
-    ident = md.Preorder.identity(worlds)
+    ident = md.Preorder.from_pairs(worlds, [])
     return md.AgentModel(("p", "q"), worlds, ident, ident, valuation)
 
 
 class TestStrictPart:
     def test_identity_order_has_empty_strict_part(self):
-        o = md.Preorder.identity(0b11)
-        assert o.strict_pairs() == frozenset()
+        o = md.Preorder.from_pairs(0b11, [])
+        assert oracles.strict(pairs_of(o)) == frozenset()
 
     def test_linear_chain(self):
         o = chain(0, 1, 2)
-        assert o.strict_pairs() == frozenset({(0, 1), (0, 2), (1, 2)})
+        assert oracles.strict(pairs_of(o)) == frozenset({(0, 1), (0, 2), (1, 2)})
 
     def test_two_world_cluster(self):
         o = md.Preorder.from_pairs(0b11, [(0, 1), (1, 0)])
-        assert o.strict_pairs() == frozenset()
+        assert oracles.strict(pairs_of(o)) == frozenset()
 
     @settings(max_examples=200)
     @given(gen.preorders())
     def test_strict_part_irreflexive_and_transitive(self, o):
-        sp = o.strict_pairs()
+        sp = oracles.strict(pairs_of(o))
         assert not any(w == u for (w, u) in sp)
         for (a, b) in sp:
             for (c, d) in sp:
@@ -71,7 +71,7 @@ class TestMinSet:
     def test_chain_example(self):
         # chain 11 < 10 < 01 < 00 in pq bits is ids 3 < 1 < 2 < 0
         o = chain(3, 1, 2, 0)
-        expected = oracles.min_of(o.pairs, {1, 2})
+        expected = oracles.min_of(pairs_of(o), {1, 2})
         assert expected == frozenset({1})
         assert world_set(o.min_set(world_mask({1, 2}))) == {1}
 
@@ -79,7 +79,7 @@ class TestMinSet:
         assert chain(0, 1).min_set(0) == 0
 
     def test_identity_order_everything_minimal(self):
-        o = md.Preorder.identity(0b11)
+        o = md.Preorder.from_pairs(0b11, [])
         assert o.min_set(0b11) == 0b11
 
     def test_world_outside_carrier(self):
@@ -94,54 +94,22 @@ class TestMinSet:
         members = sorted(world_set(o.carrier))
         s = frozenset(rng.sample(members, k=rng.randint(0, len(members))))
         got = o.min_set(world_mask(s))
-        assert world_set(got) == oracles.min_of(o.pairs, s)
+        assert world_set(got) == oracles.min_of(pairs_of(o), s)
         assert got >= 0 and not got & ~world_mask(s)
         assert (got == 0) == (s == frozenset())
 
 
 class TestValidate:
+    """Built orders are closed: their pairs equal the oracle's closure."""
+
     def test_closure_is_valid(self):
         o = md.Preorder.from_pairs(0b111, [(0, 1), (1, 2)])
-        assert o.validate() is None
-
-    def test_missing_reflexive_pair(self):
-        o = rows_order({0, 1}, [(0, 0)])
-        v = o.validate()
-        assert v is not None and v.kind == "reflexivity" and v.witness == (1,)
-
-    def test_missing_transitive_pair(self):
-        pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)]
-        o = rows_order({0, 1, 2}, pairs)
-        v = o.validate()
-        assert v is not None and v.kind == "transitivity"
-        assert v.witness == (0, 1, 2)
+        assert pairs_of(o) == oracles.closure({0, 1, 2}, pairs_of(o))
 
     @settings(max_examples=200)
     @given(gen.preorders())
     def test_fuzzed_closures_valid(self, o):
-        assert o.validate() is None
-
-    @settings(max_examples=300)
-    @given(st.deferred(lambda: relations()), st.sampled_from(["drawn", "reflexive", "closed"]))
-    def test_unclosed_rows_against_their_pair_set(self, rel, kind):
-        """None exactly on a reflexive pair set equal to its closure, else
-        a witness that the pair set really violates."""
-        worlds, pairs = rel
-        if kind == "reflexive":
-            pairs = pairs + [(w, w) for w in worlds]
-        elif kind == "closed":
-            pairs = warshall(worlds, pairs)
-        pairs = set(pairs)
-        v = rows_order(worlds, pairs).validate()
-        reflexive = all((w, w) in pairs for w in worlds)
-        assert (v is None) == (reflexive and warshall(worlds, pairs) == pairs)
-        if v is not None and v.kind == "reflexivity":
-            (w,) = v.witness
-            assert w in worlds and (w, w) not in pairs
-        elif v is not None:
-            w, u, x = v.witness
-            assert reflexive
-            assert (w, u) in pairs and (u, x) in pairs and (w, x) not in pairs
+        assert pairs_of(o) == oracles.closure(world_set(o.carrier), pairs_of(o))
 
 
 class TestRestrict:
@@ -160,8 +128,8 @@ class TestRestrict:
         got = m.restrict(keep)
         assert world_set(got.worlds) == {2, 3}
         expected_pairs = oracles.announce_pairs(
-            world_set(m.worlds), m.plausibility.pairs, world_set(keep))
-        assert got.plausibility.pairs == expected_pairs
+            world_set(m.worlds), pairs_of(m.plausibility), world_set(keep))
+        assert pairs_of(got.plausibility) == expected_pairs
         assert {a: world_set(ws) for a, ws in got.valuation.items()} == {
             "p": {3}, "q": {2, 3}}
 
@@ -177,8 +145,8 @@ class TestRestrict:
         members = sorted(world_set(m.worlds))
         keep = world_mask(rng.sample(members, k=rng.randint(0, len(members))))
         got = m.restrict(keep)
-        assert got.plausibility.validate() is None
-        assert got.desirability.validate() is None
+        for order in (got.plausibility, got.desirability):
+            assert pairs_of(order) == oracles.closure(world_set(keep), pairs_of(order))
         for a in got.atoms:
             assert not got.valuation[a] & ~keep
 
@@ -222,7 +190,7 @@ class TestModelDocuments:
     def test_load_closes_generator_pairs(self):
         m = md.load_model(self.DOC)
         assert m.plausibility == chain(3, 1, 2, 0)
-        assert m.desirability == md.Preorder.identity(m.worlds)
+        assert m.desirability == md.Preorder.from_pairs(m.worlds, [])
         assert m.intentions == frozenset({"alpha"})
 
     def test_round_trip(self):
@@ -259,11 +227,17 @@ class TestModelDocuments:
                                      {"id": top, "true_atoms": ["p"]}],
                    plausibility=[[top, 0]], desirability=[])
         m = md.load_model(doc)
-        assert m.worlds == 1 | 1 << top and m.plausibility.lt(top, 0)
+        assert m.worlds == 1 | 1 << top
+        assert (top, 0) in oracles.strict(pairs_of(m.plausibility))
         for w in (top + 1, 2 * 10 ** 9, 4 * 10 ** 10):
             doc["worlds"][1]["id"] = w
             with pytest.raises(md.ModelError, match=f"world id {w} is not below"):
                 md.load_model(doc)
+
+    @pytest.mark.parametrize("name", ["P", "1p", "mu_P", "drop_D"])
+    def test_bad_atom_name_is_a_model_error(self, name):
+        with pytest.raises(md.ModelError, match=f"bad atom name '{name}'"):
+            md.load_model(dict(self.DOC, atoms=[name, "q"]))
 
     def test_relation_pair_outside_worlds(self):
         doc = dict(self.DOC, plausibility=[[0, 9]])
@@ -314,7 +288,7 @@ class TestModelDocuments:
         worlds = world_set(m.worlds)
         for field, order in (("plausibility", m.plausibility),
                              ("desirability", m.desirability)):
-            closed = order.pairs
+            closed = pairs_of(order)
             assert doc[field] == canonical_reduction(worlds, closed)
             emitted = [tuple(p) for p in doc[field]]
             assert warshall(worlds, emitted) == closed
@@ -401,25 +375,27 @@ class TestRowConstruction:
     @given(relations())
     def test_closure_matches_warshall(self, rel):
         worlds, pairs = rel
-        got = md.Preorder.from_pairs(world_mask(worlds), pairs).pairs
+        got = pairs_of(md.Preorder.from_pairs(world_mask(worlds), pairs))
         assert got == warshall(worlds, pairs)
 
     @pytest.mark.parametrize("ids", [[], [3], [0, 1, 2], [0, 64, 1_000]])
     def test_identity_and_total_rows(self, ids):
         full = world_mask(ids)
-        for order, le in ((md.Preorder.identity(full), {(w, w) for w in ids}),
-                          (md.Preorder.total(full), {(w, u) for w in ids for u in ids})):
-            assert order.carrier == full and order.pairs == le
-            assert dict(order.down_rows(strict=True)) == dict.fromkeys(ids, 0)
-            assert order.validate() is None
+        identity = md.Preorder.from_pairs(full, [])
+        total = md.Preorder.from_pairs(full, [(w, u) for w in ids for u in ids])
+        for order, le in ((identity, {(w, w) for w in ids}),
+                          (total, {(w, u) for w in ids for u in ids})):
+            assert order.carrier == full and pairs_of(order) == le
+            assert pairs_of(order) == oracles.closure(frozenset(ids), pairs_of(order))
             assert_class_map(order, le)
-        assert dict(md.Preorder.total(full).down_rows()) == dict.fromkeys(ids, full)
+        assert identity.classes == {1 << w: 1 << w for w in ids}
+        assert total.classes == ({full: full} if ids else {})
 
     def test_long_chain_closes_without_recursion(self):
         n = 3000
         o = md.Preorder.from_pairs((1 << n) - 1, [(i, i + 1) for i in range(n - 1)])
-        assert o.down_rows()[n - 1] == (1 << n) - 1
-        assert o.down_rows(strict=True)[0] == 0
+        assert len(o.classes) == n
+        assert o.classes[(1 << n) - 1] == 1 << (n - 1) and o.classes[1] == 1
 
     @settings(max_examples=300)
     @given(relations(), st.randoms(use_true_random=False))
@@ -432,30 +408,25 @@ class TestRowConstruction:
         # restriction drops the classes it empties and never merges two
         assert sorted(restricted.classes.values()) == sorted(
             tie & world_mask(keep) for tie in o.classes.values() if tie & world_mask(keep))
-        for order, carrier in ((o, worlds), (restricted, keep)):
+        for order in (o, restricted):
             assert_class_map(order, le)
-            down, strict = order.down_rows(), order.down_rows(strict=True)
-            for w in carrier:
-                assert row_members(down[w], carrier) == {u for u in carrier if (u, w) in le}
-                assert row_members(strict[w], carrier) == {
-                    u for u in carrier if (u, w) in le and (w, u) not in le}
 
     @settings(max_examples=200)
     @given(sparse_models(), gen.prop_formulas(), gen.order_tags())
     def test_upgrade_matches_pair_definition(self, m, phi, tag):
         sat = world_set(md.satisfying_worlds(phi, m.worlds, m.valuation))
-        old = m.order(tag).pairs
+        old = pairs_of(m.order(tag))
         worlds = world_set(m.worlds)
         expected = frozenset(
             (w, u) for w in worlds for u in worlds
             if (w in sat and u not in sat)
             or ((w, u) in old and not (w not in sat and u in sat)))
-        assert dynamics.upgrade(m, tag, phi).order(tag).pairs == expected
+        assert pairs_of(dynamics.upgrade(m, tag, phi).order(tag)) == expected
 
     @settings(max_examples=200)
     @given(sparse_models(), gen.prop_formulas(), gen.order_tags())
     def test_contract_matches_pair_definition(self, m, phi, tag):
-        old = m.order(tag).pairs
+        old = pairs_of(m.order(tag))
         worlds = world_set(m.worlds)
         counter = worlds - world_set(md.satisfying_worlds(phi, m.worlds, m.valuation))
         promoted = minimal(old, counter)
@@ -463,7 +434,7 @@ class TestRowConstruction:
         expected = frozenset(
             (w, u) for w in worlds for u in worlds
             if w in bottom or ((w, u) in old and u not in promoted))
-        assert dynamics.contract(m, tag, phi).order(tag).pairs == expected
+        assert pairs_of(dynamics.contract(m, tag, phi).order(tag)) == expected
 
     @settings(max_examples=200)
     @given(sparse_models(), gen.priority_graphs())
@@ -482,7 +453,7 @@ class TestRowConstruction:
         worlds = world_set(m.worlds)
         expected = frozenset((w, u) for w in worlds for u in worlds if le(w, u))
         got = pg.induced_order(g, m.worlds, m.valuation)
-        assert got.pairs == expected
+        assert pairs_of(got) == expected
         assert_class_map(got, expected)
 
 
@@ -497,21 +468,13 @@ def row_members(row, ids):
     return members
 
 
-def transposed(up):
-    """down[u] = {w | u in up[w]}, on plain sets."""
-    down = {u: set() for u in up}
-    for w, row in up.items():
-        for u in row_members(row, up):
-            down[u].add(w)
-    return down
-
-
-def assert_shim_mirrors_down_rows(order):
-    """The _up shim of a closed order is its down rows' transpose."""
-    up = order._up
-    down = order.down_rows()
-    assert set(down) == set(up) == world_set(order.carrier)
-    assert {u: row_members(r, up) for u, r in down.items()} == transposed(up)
+def assert_shim_mirrors_pairs(order):
+    """The _up shim of a closed order holds, per world w, the u with
+    (w, u) among the pairs of its class map."""
+    up, pairs, ids = order._up, pairs_of(order), world_set(order.carrier)
+    assert set(up) == ids
+    assert {w: row_members(r, ids) for w, r in up.items()} == {
+        w: {u for u in ids if (w, u) in pairs} for w in ids}
 
 
 @st.composite
@@ -556,7 +519,7 @@ class TestTranspose:
     @given(row_sets())
     def test_shim_is_the_pair_set_mirror(self, rows):
         worlds, up = rows
-        assert_shim_mirrors_down_rows(closed_from_rows(worlds, up))
+        assert_shim_mirrors_pairs(closed_from_rows(worlds, up))
 
     @pytest.mark.parametrize("span", [1, 7, 8, 9, 63, 64, 65, 255, 256, 257])
     @pytest.mark.parametrize("shape", ["dense", "gapped", "ends"])
@@ -566,23 +529,21 @@ class TestTranspose:
                "gapped": sorted(set(range(0, span, 3)) | {span - 1}),
                "ends": sorted({0, span - 1})}[shape]
         worlds = frozenset(ids)
-        assert_shim_mirrors_down_rows(
+        assert_shim_mirrors_pairs(
             closed_from_rows(worlds, random_rows(sorted(worlds), rng)))
 
     def test_empty_carrier(self):
         o = md.Preorder.from_pairs(0, [])
-        assert dict(o.down_rows()) == {} and dict(o.down_rows(strict=True)) == {}
-        assert o._up == {}
+        assert o.classes == {} and o._up == {}
 
     @pytest.mark.parametrize("w", [0, 5, 64, 1_000_000])
     def test_single_world(self, w):
         o = md.Preorder.from_pairs(1 << w, [])
-        assert dict(o.down_rows()) == {w: 1 << w}
-        assert dict(o.down_rows(strict=True)) == {w: 0}
+        assert o.classes == {1 << w: 1 << w}
 
     def test_far_flung_ids(self):
         o = md.Preorder.from_pairs(1 | 1 << 1_000_000, [(0, 1_000_000)])
-        assert dict(o.down_rows()) == {0: 1, 1_000_000: 1 | 1 << 1_000_000}
+        assert o.classes == {1: 1, 1 | 1 << 1_000_000: 1 << 1_000_000}
         assert o._up == {0: 1 | 1 << 1_000_000, 1_000_000: 1 << 1_000_000}
 
 
@@ -598,7 +559,7 @@ class TestDownOnlyRewrites:
         sat = world_set(md.satisfying_worlds(phi, m.worlds, m.valuation))
         if is_upgrade:
             got = dynamics.upgrade(m, tag, phi).order(tag)
-            expected = oracles.upgrade_pairs(worlds, old.pairs, sat)
+            expected = oracles.upgrade_pairs(worlds, pairs_of(old), sat)
             # upgrade splits each class at the phi zone and never merges two
             top = world_mask(sat)
             assert sorted(got.classes.values()) == sorted(
@@ -606,9 +567,8 @@ class TestDownOnlyRewrites:
                 if part)
         else:
             got = dynamics.contract(m, tag, phi).order(tag)
-            expected = oracles.contract_pairs(worlds, old.pairs, worlds - sat)
-        assert got.pairs == expected
-        assert got.strict_pairs() == oracles.strict(expected)
+            expected = oracles.contract_pairs(worlds, pairs_of(old), worlds - sat)
+        assert pairs_of(got) == expected
         assert got.reduction_pairs() == canonical_reduction(worlds, expected)
         assert_class_map(got, expected)
 
@@ -664,7 +624,7 @@ class TestReductionShapes:
     def test_small_shapes_match_the_pair_set_reduction(self, shape, seed):
         ids = shuffled_ids(60, seed)
         order = md.Preorder.from_pairs(world_mask(ids), self.SHAPES[shape](ids))
-        assert order.reduction_pairs() == canonical_reduction(ids, order.pairs)
+        assert order.reduction_pairs() == canonical_reduction(ids, pairs_of(order))
 
     @pytest.mark.parametrize("shape", ["chain", "tree2", "tree3"])
     def test_4096_world_covers_are_the_generating_pairs(self, shape):
@@ -687,12 +647,12 @@ class TestMirroredRows:
     @settings(max_examples=200)
     @given(sparse_models(), gen.prop_formulas(), gen.order_tags())
     def test_upgrade_down_rows_mirror_the_shim(self, m, phi, tag):
-        assert_shim_mirrors_down_rows(dynamics.upgrade(m, tag, phi).order(tag))
+        assert_shim_mirrors_pairs(dynamics.upgrade(m, tag, phi).order(tag))
 
     @settings(max_examples=200)
     @given(sparse_models(), gen.prop_formulas(), gen.order_tags())
     def test_contract_down_rows_mirror_the_shim(self, m, phi, tag):
-        assert_shim_mirrors_down_rows(dynamics.contract(m, tag, phi).order(tag))
+        assert_shim_mirrors_pairs(dynamics.contract(m, tag, phi).order(tag))
 
     @settings(max_examples=100)
     @given(sparse_models(), st.lists(st.tuples(st.booleans(), gen.prop_formulas(),
@@ -702,14 +662,8 @@ class TestMirroredRows:
             m = (dynamics.upgrade if is_upgrade else dynamics.contract)(m, tag, phi)
         for tag in ("P", "D"):
             o = m.order(tag)
-            assert_shim_mirrors_down_rows(o)
-            worlds = world_set(m.worlds)
-            strict = {u: row_members(r, worlds)
-                      for u, r in o.down_rows(strict=True).items()}
-            pairs = o.pairs
-            assert strict == {
-                u: {w for w in worlds if (w, u) in pairs and (u, w) not in pairs}
-                for u in worlds}
+            assert_shim_mirrors_pairs(o)
+            assert_class_map(o, pairs_of(o))
 
 
 class TestClosureOfClosedInputs:
@@ -718,7 +672,7 @@ class TestClosureOfClosedInputs:
     def test_closed_pairs_close_to_themselves(self, rel):
         worlds, pairs = rel
         closed = warshall(worlds, pairs)
-        assert md.Preorder.from_pairs(world_mask(worlds), closed).pairs == closed
+        assert pairs_of(md.Preorder.from_pairs(world_mask(worlds), closed)) == closed
 
     @pytest.mark.parametrize("block", [1, 4, 16])
     def test_fully_closed_layered_order(self, block):
@@ -727,12 +681,12 @@ class TestClosureOfClosedInputs:
         closed = frozenset((w, u) for w in worlds for u in worlds
                            if u // block >= w // block)
         o = md.Preorder.from_pairs(world_mask(worlds), closed)
-        assert o.pairs == closed
-        assert_shim_mirrors_down_rows(o)
+        assert pairs_of(o) == closed
+        assert_shim_mirrors_pairs(o)
 
 
 # ---------------------------------------------------------------------------
-# Loading: documents close to class maps, read through the per-world views.
+# Loading: documents close to class maps, read as pair sets.
 
 @st.composite
 def generator_documents(draw):
@@ -772,12 +726,7 @@ class TestDownFirstLoad:
     def test_rows_match_the_warshall_closure(self, doc):
         for order, closed in closed_orders(doc):
             ids = world_set(order.carrier)
-            assert {u: row_members(r, ids) for u, r in order.down_rows().items()} == {
-                u: {w for w in ids if (w, u) in closed} for u in ids}
-            assert {u: row_members(r, ids)
-                    for u, r in order.down_rows(strict=True).items()} == {
-                u: {w for w in ids if (w, u) in closed and (u, w) not in closed}
-                for u in ids}
+            assert_class_map(order, closed)
             assert {w: row_members(r, ids) for w, r in order._up.items()} == {
                 w: {u for u in ids if (w, u) in closed} for w in ids}
 
@@ -789,9 +738,9 @@ class TestDownFirstLoad:
             keep = frozenset(rng.sample(ids, k=rng.randint(0, len(ids))))
             inside = {(w, u) for w, u in closed if w in keep and u in keep}
             got = order.restrict(world_mask(keep))
-            assert got.pairs == inside
-            assert got.strict_pairs() == oracles.strict(inside)
-            assert world_set(got.carrier) == keep and set(got.down_rows()) == keep
+            assert pairs_of(got) == inside
+            assert world_set(got.carrier) == keep
+            assert_class_map(got, inside)
 
     @settings(max_examples=150)
     @given(generator_documents())
@@ -800,7 +749,6 @@ class TestDownFirstLoad:
             built = rows_order(world_set(order.carrier), closed)
             assert order == built and built == order
             assert hash(order) == hash(built)
-            assert dict(order.down_rows(strict=True)) == dict(built.down_rows(strict=True))
 
 
 @st.composite
@@ -847,7 +795,7 @@ class TestOnePassLoad:
         for tag, field in (("P", "plausibility"), ("D", "desirability")):
             pairs = [tuple(p) for p in doc[field]]
             assert m.order(tag) == md.Preorder.from_pairs(worlds, pairs)
-            assert m.order(tag).pairs == warshall(world_set(worlds), pairs)
+            assert pairs_of(m.order(tag)) == warshall(world_set(worlds), pairs)
 
     @pytest.mark.parametrize("pair", [[9, 0], [0, 9], [65_535, 1], [2**70, 1], [-1, 2]])
     def test_either_end_off_the_carrier(self, pair):

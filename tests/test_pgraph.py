@@ -13,7 +13,7 @@ from mindcheck import plans as pl
 import generators
 import oracles
 import strategies as gen
-from common import ranked_program, world_mask, world_set
+from common import assert_class_map, pairs_of, ranked_program, world_mask, world_set
 
 P, Q = fm.Atom("p"), fm.Atom("q")
 
@@ -52,29 +52,30 @@ class TestInducedOrder:
         # oracle: apply the lexicographic condition to all 16 pairs
         expected = oracles.induced(
             world_set(worlds), [frozenset({1, 3}), frozenset({2, 3})], [(0, 1)])
-        assert got.pairs == expected
+        assert pairs_of(got) == expected
         # 11 < 10 < 01 < 00 in pq bits is ids 3 < 1 < 2 < 0
-        strict = got.strict_pairs()
+        strict = oracles.strict(pairs_of(got))
         assert strict == frozenset(
             {(3, 1), (3, 2), (3, 0), (1, 2), (1, 0), (2, 0)})
 
     def test_empty_graph_is_total(self):
         worlds, valuation = two_atom_world_set()
         got = pg.induced_order(pg.make_graph([]), worlds, valuation)
-        assert got.pairs == frozenset((w, u) for w in range(4) for u in range(4))
+        assert pairs_of(got) == frozenset((w, u) for w in range(4) for u in range(4))
 
     def test_single_node_two_zones(self):
         worlds, valuation = two_atom_world_set()
         got = pg.induced_order(pg.make_graph([P]), worlds, valuation)
         expected = oracles.induced(world_set(worlds), [frozenset({1, 3})], [])
-        assert got.pairs == expected
+        pairs = pairs_of(got)
+        assert pairs == expected
         p_zone, rest = {1, 3}, {0, 2}
         for w in p_zone:
             for u in rest:
-                assert got.lt(w, u)
+                assert (w, u) in oracles.strict(pairs)
         for w in rest:
             for u in rest:
-                assert got.le(w, u)
+                assert (w, u) in pairs
 
     def test_non_propositional_node_rejected(self):
         with pytest.raises(pg.GraphError):
@@ -96,8 +97,8 @@ class TestInducedOrder:
            st.lists(gen.prop_formulas(max_depth=2), max_size=2))
     def test_strict_rows_match_the_oracle_under_knowledge(self, beliefs, desires,
                                                           knowledge):
-        # Preorder equality reads down rows only, so the strict rows, which
-        # induction derives from the tie classes, are checked on their own.
+        # Preorder equality reads the class map only, so the strict rows,
+        # each class's row less the class, are checked on their own.
         atoms = gen.ATOMS
 
         def true_atoms(w):
@@ -113,14 +114,15 @@ class TestInducedOrder:
             exts = [frozenset(w for w in worlds if oracles.holds_at(n, true_atoms(w)))
                     for n in g.nodes]
             expected = oracles.induced(worlds, exts, g.prec)
-            assert order.pairs == expected
-            assert order.strict_pairs() == oracles.strict(expected)
+            assert pairs_of(order) == expected
+            assert_class_map(order, expected)
 
     @settings(max_examples=250)
     @given(gen.priority_graphs(names=("p", "q")))
     def test_induced_order_is_preorder(self, g):
         worlds, valuation = two_atom_world_set()
-        assert pg.induced_order(g, worlds, valuation).validate() is None
+        pairs = pairs_of(pg.induced_order(g, worlds, valuation))
+        assert pairs == oracles.closure(world_set(worlds), pairs)
 
     @settings(max_examples=150)
     @given(gen.priority_graphs(names=("p", "q"), max_nodes=3))
@@ -133,7 +135,7 @@ class TestInducedOrder:
             g.prec)
         after = pg.induced_order(bigger, worlds, valuation)
         sat = world_set(md.satisfying_worlds(new_node, worlds, valuation))
-        added = after.strict_pairs() - before.strict_pairs()
+        added = oracles.strict(pairs_of(after)) - oracles.strict(pairs_of(before))
         assert not any((w in sat) == (u in sat) for (w, u) in added)
 
 
@@ -141,7 +143,7 @@ class TestExtractGraph:
     def test_identity_order_two_worlds(self):
         worlds = world_mask({0, 3})
         valuation = {"p": 0b1000, "q": 0b1000}
-        ident = md.Preorder.identity(worlds)
+        ident = md.Preorder.from_pairs(worlds, [])
         m = md.AgentModel(("p", "q"), worlds, ident, ident, valuation)
         g = pg.extract_graph(m, "P")
         assert g.prec == frozenset()
@@ -153,7 +155,7 @@ class TestExtractGraph:
         worlds = world_mask({3, 1})
         valuation = {"p": 0b1010, "q": 0b1000}
         order = md.Preorder.from_pairs(worlds, [(3, 1)])
-        m = md.AgentModel(("p", "q"), worlds, md.Preorder.identity(worlds),
+        m = md.AgentModel(("p", "q"), worlds, md.Preorder.from_pairs(worlds, []),
                           order, valuation)
         g = pg.extract_graph(m, "D")
         # two tie classes: one rank-bit node, holding the better world pq
@@ -164,7 +166,7 @@ class TestExtractGraph:
     def test_single_world(self):
         worlds = 0b10
         valuation = {"p": 0b10}
-        ident = md.Preorder.identity(worlds)
+        ident = md.Preorder.from_pairs(worlds, [])
         m = md.AgentModel(("p",), worlds, ident, ident, valuation)
         g = pg.extract_graph(m, "P")
         # one tie class needs no node at all
@@ -179,7 +181,7 @@ class TestExtractGraph:
         valuation = {a: world_mask(w for w in worlds if w >> i & 1)
                      for i, a in enumerate(atoms)}
         worlds = world_mask(worlds)
-        ident = md.Preorder.identity(worlds)
+        ident = md.Preorder.from_pairs(worlds, [])
         m = md.AgentModel(atoms, worlds, ident, ident, valuation)
         g = pg.extract_graph(m, "P")
         assert len(g.nodes) == nodes
@@ -188,7 +190,7 @@ class TestExtractGraph:
     def test_non_injective_valuation_rejected(self):
         worlds = 0b11
         valuation = {"p": 0}
-        ident = md.Preorder.identity(worlds)
+        ident = md.Preorder.from_pairs(worlds, [])
         m = md.AgentModel(("p",), worlds, ident, ident, valuation)
         with pytest.raises(pg.GraphError, match="injective"):
             pg.extract_graph(m, "P")
@@ -209,7 +211,7 @@ class TestExtractGraph:
             pairs = oracles.closure(worlds, edges)
             order = md.Preorder.from_pairs(world_mask(worlds), edges)
             m = md.AgentModel(tuple(names), world_mask(worlds), order,
-                              md.Preorder.identity(world_mask(worlds)), valuation)
+                              md.Preorder.from_pairs(world_mask(worlds), []), valuation)
             if all((w, u) in pairs or (u, w) in pairs
                    for w in worlds for u in worlds):
                 # total: a rank-bit chain instead (see TestRankBits)
@@ -248,7 +250,7 @@ class TestExtractGraph:
     @settings(max_examples=200)
     @given(gen.agent_models(), gen.order_tags())
     def test_non_total_orders_extract_as_irreducible_down_sets(self, m, tag):
-        pairs = m.order(tag).pairs
+        pairs = pairs_of(m.order(tag))
         worlds = sorted(world_set(m.worlds))
         assume(any((w, u) not in pairs and (u, w) not in pairs
                    for w in worlds for u in worlds))
@@ -273,7 +275,7 @@ class TestExtractGraph:
         atoms = tuple(f"a{i}" for i in range(md.MAX_PROGRAM_ATOMS + 1))
         worlds = 0b11
         valuation = {a: 0b10 for a in atoms}
-        ident = md.Preorder.identity(worlds)
+        ident = md.Preorder.from_pairs(worlds, [])
         m = md.AgentModel(atoms, worlds, ident, ident, valuation)
         with pytest.raises(pg.GraphError, match="at most"):
             pg.extract_graph(m, "P")
@@ -310,7 +312,7 @@ class TestRankBits:
                      for i, a in enumerate(names)}
         pairs = [(w, u) for w in worlds for u in worlds if value[w] >= value[u]]
         order = md.Preorder.from_pairs(world_mask(worlds), pairs)
-        ident = md.Preorder.identity(world_mask(worlds))
+        ident = md.Preorder.from_pairs(world_mask(worlds), [])
         true_at = {w: {a for i, a in enumerate(names) if c >> i & 1}
                    for w, c in zip(worlds, codes)}
         return md.AgentModel(tuple(names), world_mask(worlds), order, ident,

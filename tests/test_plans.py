@@ -12,7 +12,7 @@ from mindcheck import plans as pl
 
 import generators
 import oracles
-from common import running_library, running_model, running_program, world_set
+from common import pairs_of, running_library, running_model, running_program, world_set
 
 
 class TestLoadLibrary:
@@ -59,6 +59,11 @@ class TestLoadLibrary:
     def test_malformed_shapes_name_the_field(self, doc, field):
         with pytest.raises(pl.LibraryError, match=field):
             pl.load_library(doc)
+
+    @pytest.mark.parametrize("name", ["x y", "mu_P", "drop_D", "Alpha", "1a", ""])
+    def test_plan_symbol_outside_the_atom_class_rejected(self, name):
+        with pytest.raises(pl.LibraryError, match="bad plan symbol"):
+            pl.load_library({"plans": [{"name": name, "pre": "T", "post": "p"}]})
 
     def test_dump_round_trips(self):
         lib = running_library()
@@ -119,7 +124,7 @@ class TestPlanCheckOracle:
             m = generators.random_model(rng, n_atoms=2 + i % 2)
             lib = generators.random_library(rng, m.atoms)
             m = dataclasses.replace(m, intentions=frozenset(lib.plans))
-            plaus, des = m.plausibility.pairs, m.desirability.pairs
+            plaus, des = pairs_of(m.plausibility), pairs_of(m.desirability)
             worlds = world_set(m.worlds)
             truth = {a: world_set(ws) for a, ws in m.valuation.items()}
             true_at = {w: {a for a in m.atoms if w in truth[a]} for w in worlds}
