@@ -217,36 +217,34 @@ Formula = Union[
 ]
 
 _PROP_NODES = (Atom, Top, Bottom, Not, And, Or, Implies)
-_SUGAR_NODES = (Mu, Bel, Goal, AdmInt, Int)
 _BINARY_NODES = (And, Or, Implies)
+
+# The operand fields of each node class, in the order walk visits them.
+_OPERANDS = {
+    **dict.fromkeys((Not, A, E, Box, Diamond, Mu), ("child",)),
+    **dict.fromkeys(_BINARY_NODES, ("left", "right")),
+    **dict.fromkeys((Bel, Goal, AdmInt, Int), ("consequent", "condition")),
+    DynMod: ("argument", "body"), PlanMod: ("body",),
+}
 
 
 def walk(f: Formula) -> Iterator[Formula]:
-    """Yield every node of the AST, preorder."""
-    yield f
-    if isinstance(f, Not):
-        yield from walk(f.child)
-    elif isinstance(f, _BINARY_NODES):
-        yield from walk(f.left)
-        yield from walk(f.right)
-    elif isinstance(f, (A, E, Box, Diamond, Mu)):
-        yield from walk(f.child)
-    elif isinstance(f, (Bel, Goal, AdmInt, Int)):
-        yield from walk(f.consequent)
-        yield from walk(f.condition)
-    elif isinstance(f, DynMod):
-        yield from walk(f.argument)
-        yield from walk(f.body)
-    elif isinstance(f, PlanMod):
-        yield from walk(f.body)
+    """Yield each distinct node object of the AST once, preorder: a node
+    several parents share, as desugared sugar shares its argument, costs
+    one visit. The loop keeps its own stack, so any depth is walked."""
+    seen = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if id(g) not in seen:
+            seen.add(id(g))
+            yield g
+            for name in reversed(_OPERANDS.get(type(g), ())):
+                stack.append(getattr(g, name))
 
 
 def is_propositional(f: Formula) -> bool:
     return all(isinstance(node, _PROP_NODES) for node in walk(f))
-
-
-def is_sugar_free(f: Formula) -> bool:
-    return not any(isinstance(node, _SUGAR_NODES) for node in walk(f))
 
 
 def atoms_of(f: Formula) -> frozenset[str]:
@@ -614,13 +612,15 @@ def desugar(f: Formula, lib=None) -> Formula:
     """Expand B, G, AdmInt, Int and mu into the core language.
 
     A plan library is needed only when f contains Int; plan symbols occurring
-    in f are checked against the library when one is given.
+    in f are checked against the library when one is given. Each node object
+    of f is expanded once and each expansion shares its argument, so nested
+    sugar gives a DAG that grows linearly with the nesting.
     """
     if lib is not None:
         unknown = plan_symbols_of(f) - set(lib.plans)
         if unknown:
             raise UnknownPlanError(f"unknown plan symbol {sorted(unknown)[0]!r}")
-    return _desugar(f, lib)
+    return _desugar(f, lib, {})
 
 
 def _bel_expansion(order, consequent, condition):
@@ -634,44 +634,47 @@ def _admint_expansion(consequent, condition):
     return And(And(goal, possible), Not(believed))
 
 
-def _desugar(f: Formula, lib) -> Formula:
+def _desugar(f: Formula, lib, memo: dict) -> Formula:
+    # memo maps the id of each node of the input expanded so far to its
+    # expansion; the input holds those nodes, so no id is reused meanwhile
     if isinstance(f, (Atom, Top, Bottom, Intends)):
         return f
+    core = memo.get(id(f))
+    if core is not None:
+        return core
     if isinstance(f, Not):
-        return Not(_desugar(f.child, lib))
-    if isinstance(f, _BINARY_NODES):
-        return type(f)(_desugar(f.left, lib), _desugar(f.right, lib))
-    if isinstance(f, (A, E)):
-        return type(f)(_desugar(f.child, lib))
-    if isinstance(f, (Box, Diamond)):
-        return type(f)(f.order, f.strict, _desugar(f.child, lib))
-    if isinstance(f, Mu):
-        return _mu_expansion(f.order, _desugar(f.child, lib))
-    if isinstance(f, Bel):
-        return _bel_expansion("P", _desugar(f.consequent, lib),
-                              _desugar(f.condition, lib))
-    if isinstance(f, Goal):
-        return _bel_expansion("D", _desugar(f.consequent, lib),
-                              _desugar(f.condition, lib))
-    if isinstance(f, AdmInt):
-        return _admint_expansion(_desugar(f.consequent, lib),
-                                 _desugar(f.condition, lib))
-    if isinstance(f, Int):
-        if lib is None:
+        core = Not(_desugar(f.child, lib, memo))
+    elif isinstance(f, _BINARY_NODES):
+        core = type(f)(_desugar(f.left, lib, memo), _desugar(f.right, lib, memo))
+    elif isinstance(f, (A, E)):
+        core = type(f)(_desugar(f.child, lib, memo))
+    elif isinstance(f, (Box, Diamond)):
+        core = type(f)(f.order, f.strict, _desugar(f.child, lib, memo))
+    elif isinstance(f, Mu):
+        core = _mu_expansion(f.order, _desugar(f.child, lib, memo))
+    elif isinstance(f, (Bel, Goal, AdmInt, Int)):
+        consequent = _desugar(f.consequent, lib, memo)
+        condition = _desugar(f.condition, lib, memo)
+        if isinstance(f, Bel):
+            core = _bel_expansion("P", consequent, condition)
+        elif isinstance(f, Goal):
+            core = _bel_expansion("D", consequent, condition)
+        elif isinstance(f, AdmInt):
+            core = _admint_expansion(consequent, condition)
+        elif lib is None:
             raise UnknownPlanError("a plan library is required to expand Int")
-        consequent = _desugar(f.consequent, lib)
-        condition = _desugar(f.condition, lib)
-        admissible = _admint_expansion(consequent, condition)
-        backing: Formula = Bottom()
-        for name in sorted(lib.plans, reverse=True):
-            plan = lib.plans[name]
-            achieved = And(plan.pre, PlanMod(name, consequent))
-            disjunct = And(Intends(name),
-                           _bel_expansion("P", achieved, condition))
-            backing = disjunct if isinstance(backing, Bottom) else Or(disjunct, backing)
-        return And(admissible, backing)
-    if isinstance(f, DynMod):
-        return DynMod(f.op, f.order, f.argument, _desugar(f.body, lib))
-    if isinstance(f, PlanMod):
-        return PlanMod(f.plan, _desugar(f.body, lib))
-    raise FormulaError(f"cannot desugar {f!r}")
+        else:
+            backing: Formula = Bottom()
+            for name in sorted(lib.plans, reverse=True):
+                achieved = And(lib.plans[name].pre, PlanMod(name, consequent))
+                disjunct = And(Intends(name), _bel_expansion("P", achieved, condition))
+                backing = disjunct if isinstance(backing, Bottom) else Or(disjunct, backing)
+            core = And(_admint_expansion(consequent, condition), backing)
+    elif isinstance(f, DynMod):
+        core = DynMod(f.op, f.order, f.argument, _desugar(f.body, lib, memo))
+    elif isinstance(f, PlanMod):
+        core = PlanMod(f.plan, _desugar(f.body, lib, memo))
+    else:
+        raise FormulaError(f"cannot desugar {f!r}")
+    memo[id(f)] = core
+    return core

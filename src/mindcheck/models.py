@@ -339,28 +339,47 @@ class AgentModel:
         )
 
 
-def satisfying_worlds(f: "fm.Formula", worlds: int, valuation: Valuation) -> int:
-    """The mask of the worlds satisfying a propositional formula."""
-    if isinstance(f, fm.Atom):
-        if f.name not in valuation:
-            raise UnknownAtomError(f"unknown atom {f.name!r}")
-        return valuation[f.name] & worlds
-    if isinstance(f, fm.Top):
-        return worlds
-    if isinstance(f, fm.Bottom):
-        return 0
-    if isinstance(f, fm.Not):
-        return worlds & ~satisfying_worlds(f.child, worlds, valuation)
-    if isinstance(f, fm.And):
-        return (satisfying_worlds(f.left, worlds, valuation)
-                & satisfying_worlds(f.right, worlds, valuation))
-    if isinstance(f, fm.Or):
-        return (satisfying_worlds(f.left, worlds, valuation)
-                | satisfying_worlds(f.right, worlds, valuation))
-    if isinstance(f, fm.Implies):
-        return ((worlds & ~satisfying_worlds(f.left, worlds, valuation))
-                | satisfying_worlds(f.right, worlds, valuation))
-    raise ModelError(f"not a propositional formula: {fm.render(f)}")
+def satisfying_worlds(f: "fm.Formula", worlds: int, valuation: Valuation,
+                      modal=None) -> int:
+    """The mask of the worlds satisfying f: the engine's one evaluator.
+
+    Atoms and the propositional connectives are read here. Any other node
+    goes to modal(node, ext), where ext(operand) gives an operand's mask;
+    without modal such a node is a ModelError. Each distinct node object is
+    evaluated once per call, so a DAG of shared sub-formulas costs its
+    size, not its tree's. The memo is keyed by id, so every node read must
+    outlive the call, as f's nodes do while f is held.
+    """
+    memo: dict[int, int] = {}
+
+    def ext(g) -> int:
+        mask = memo.get(id(g))
+        if mask is not None:
+            return mask
+        if isinstance(g, fm.Atom):
+            if g.name not in valuation:
+                raise UnknownAtomError(f"unknown atom {g.name!r}")
+            mask = valuation[g.name] & worlds
+        elif isinstance(g, fm.And):
+            mask = ext(g.left) & ext(g.right)
+        elif isinstance(g, fm.Not):
+            mask = worlds & ~ext(g.child)
+        elif isinstance(g, fm.Or):
+            mask = ext(g.left) | ext(g.right)
+        elif isinstance(g, fm.Implies):
+            mask = (worlds & ~ext(g.left)) | ext(g.right)
+        elif isinstance(g, fm.Top):
+            mask = worlds
+        elif isinstance(g, fm.Bottom):
+            mask = 0
+        elif modal is None:
+            raise ModelError(f"not a propositional formula: {fm.render(g)}")
+        else:
+            mask = modal(g, ext)
+        memo[id(g)] = mask
+        return mask
+
+    return ext(f)
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +407,6 @@ def load_model(doc: dict) -> AgentModel:
         raise ModelError(f"model document missing field: {exc}") from exc
     if len(set(atoms)) != len(atoms):
         raise ModelError("duplicate atom names")
-    try:
-        for a in atoms:
-            fm.Atom(a)  # name check
-    except fm.FormulaError as exc:
-        raise ModelError(str(exc)) from exc
     if not isinstance(world_docs, list):
         raise ModelError(f"worlds must be a list of world entries, got {world_docs!r}")
     # one bit per id a document may use, set byte by byte: ORing bits into
@@ -430,9 +444,15 @@ def load_model(doc: dict) -> AgentModel:
 
 
 def _names(value, field: str) -> list:
-    """A field that must list strings (atom names or plan symbols)."""
+    """A field that must list atom names or plan symbols, which share one
+    class of names."""
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise ModelError(f"{field} must be a list of names, got {value!r}")
+    try:
+        for x in value:
+            fm.Atom(x)  # name check
+    except fm.FormulaError as exc:
+        raise ModelError(f"{exc} in {field}") from exc
     return value
 
 

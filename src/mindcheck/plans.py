@@ -50,24 +50,17 @@ def literal_conjunction(f: fm.Formula) -> Optional[dict[str, bool]]:
     None.
     """
     lits: dict[str, bool] = {}
-
-    def collect(g) -> bool:
-        if isinstance(g, fm.Top):
-            return True
+    stack = [f]
+    while stack:
+        g = stack.pop()
         if isinstance(g, fm.And):
-            return collect(g.left) and collect(g.right)
-        if isinstance(g, fm.Atom):
-            name, value = g.name, True
-        elif isinstance(g, fm.Not) and isinstance(g.child, fm.Atom):
-            name, value = g.child.name, False
-        else:
-            return False
-        if lits.get(name, value) != value:
-            return False  # both polarities present
-        lits[name] = value
-        return True
-
-    return lits if collect(f) else None
+            stack += g.right, g.left
+        elif not isinstance(g, fm.Top):
+            value = not isinstance(g, fm.Not)
+            atom = g if value else g.child
+            if not isinstance(atom, fm.Atom) or lits.setdefault(atom.name, value) != value:
+                return None  # not a literal, or both polarities present
+    return lits
 
 
 def make_plan(symbol: str, pre: fm.Formula, post: fm.Formula) -> Plan:

@@ -331,7 +331,13 @@ EXIT_CODE_MATRIX = [
     (("eval", "--model", "chain_model.json",
       "--formula", "~" * 3000 + "p"), 2),
     (("eval", "--model", "chain_model.json",
-      "--formula", " | ".join(["p"] * 500)), 2),
+      "--formula", " | ".join(["p"] * 500)), 1),
+    (("eval", "--model", "chain_model.json", "--formula", "mu_P " * 49 + "p"), 1),
+    (("eval", "--model", "chain_model.json", "--formula", "[!F] z"), 2),
+    (("eval", "--model", "bad_intention_name_model.json", "--formula", "Int(p)",
+      "--library", "running_library.json"), 2),
+    (("eval", "--model", "chain_model.json",
+      "--library", "long_post_library.json", "--formula", "[alpha] (p & q)"), 0),
     *((("induce", "--program", f"{case}_program.json"), 2) for case in (
         "edge_string_index", "edge_triple", "edge_bool", "edges_int",
         "ranks_int", "ranks_string", "node_int", "nodes_string",

@@ -45,6 +45,14 @@ class TestBasics:
         with pytest.raises(md.UnknownAtomError):
             ext(running_model(), "z")
 
+    @pytest.mark.parametrize("text", ["F & z", "[!F] z", "[s] z", "A (F -> z)"])
+    def test_unknown_atom_on_any_branch(self, text):
+        # a vacuous announcement or plan step never evaluates its body, yet
+        # the atom is rejected there as in the conjunction
+        lib = pl.load_library({"plans": [{"name": "s", "pre": "F", "post": "T"}]})
+        with pytest.raises(md.UnknownAtomError):
+            ext(running_model(), text, lib)
+
     def test_unknown_plan(self):
         with pytest.raises(fm.UnknownPlanError):
             ext(running_model(), "I(ghost)", running_library())

@@ -422,6 +422,7 @@ class TestMalformedInput:
         "bare_world_model.json", "idless_world_model.json",
         "string_atom_list_model.json", "string_intentions_model.json",
         "bool_id_model.json", "over_cap_id_model.json", "keyword_atom_model.json",
+        "bad_intention_name_model.json",
     ])
     def test_malformed_model_is_model_error(self, capsys, name):
         code, out, err = run(capsys, "eval", "--model", fx(name),
@@ -442,6 +443,15 @@ class TestMalformedInput:
             code, _, err = run(capsys, "eval", "--model", fx("chain_model.json"),
                                "--formula", formula)
             assert code in (0, 1) and err == ""
+
+    def test_long_flat_disjunction_evaluates(self, capsys):
+        rows = []
+        for formula in (" | ".join(["p"] * 500), "p"):
+            code, out, err = run(capsys, "eval", "--model", fx("chain_model.json"),
+                                 "--formula", formula, "--json")
+            assert (code, err) == (1, "")
+            rows.append(json.loads(out)["worlds"])
+        assert rows[0] == rows[1]
 
 
 class TestFileFaults:

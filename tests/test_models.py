@@ -172,6 +172,24 @@ class TestSatisfyingWorlds:
         with pytest.raises(md.ModelError):
             md.satisfying_worlds(fm.parse("A p"), m.worlds, m.valuation)
 
+    def test_nested_sugar_is_read_once_per_node(self):
+        # mu_P expands to phi & ~<<P>>phi with phi shared, so 49 levels make
+        # a DAG of 3 nodes a level over the atom, not a tree of 2**49 leaves
+        core = fm.desugar(fm.parse("mu_P " * 49 + "p"))
+        nodes = list(fm.walk(core))
+        assert len(nodes) <= 3 * 49 + 2
+        m = full_two_atom_model()
+        calls = []
+
+        def modal(node, ext):
+            calls.append(node)
+            return ext(node.child)
+
+        md.satisfying_worlds(core, m.worlds, m.valuation, modal)
+        diamonds = [n for n in nodes if isinstance(n, fm.Diamond)]
+        assert len(calls) == len(diamonds) == 49
+        assert {id(n) for n in calls} == {id(n) for n in diamonds}
+
 
 class TestModelDocuments:
     DOC = {
